@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import KMetricError
+from .errors import FormatError, KMetricError
 from .families import expected_sequence, make_space, parse_family
 from .graphs import parse_edge_list, shortest_path_metric
 from .solver import ExtendedNat, dim_exact, sequence_with_reports
@@ -108,7 +108,12 @@ def _load_source(family: str | None, input_path: str | None,
     if family is not None:
         spec = parse_family(family)
         return make_space(spec), str(spec)
-    text = Path(input_path).read_text()
+    try:
+        text = Path(input_path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise FormatError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{input_path} is not UTF-8 text: {exc}") from exc
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return load_space(text), input_path
@@ -407,9 +412,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _COMMANDS[config.command](config)
     except KMetricError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

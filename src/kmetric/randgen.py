@@ -79,22 +79,25 @@ def random_rational_metric(n: int, rng: random.Random, max_weight: int = 8) -> F
     """Shortest-path closure of a complete graph with random rational weights."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    d = [[Fraction(0)] * n for _ in range(n)]
+    # Weights a/b with b in {1, 2, 3}; the closure runs on integers times 6.
+    d = [[0] * n for _ in range(n)]
     for u in range(n):
         for v in range(u + 1, n):
-            w = Fraction(rng.randint(1, max_weight), rng.randint(1, 3))
-            d[u][v] = d[v][u] = w
+            num = rng.randint(1, max_weight)
+            d[u][v] = d[v][u] = num * (6 // rng.randint(1, 3))
     for mid in range(n):
+        row_mid = d[mid]
         for u in range(n):
             dum = d[u][mid]
+            row_u = d[u]
             for v in range(n):
-                detour = dum + d[mid][v]
-                if detour < d[u][v]:
-                    d[u][v] = detour
+                detour = dum + row_mid[v]
+                if detour < row_u[v]:
+                    row_u[v] = detour
     labels = [f"x{i}" for i in range(n)]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TwoPointSpaceWarning)
-        return build_space(labels, d)
+        return build_space(labels, [[Fraction(x, 6) for x in row] for row in d])
 
 
 def random_space(n: int, rng: random.Random) -> FiniteMetricSpace:

@@ -38,7 +38,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .errors import InstanceTooLarge, KMetricError, NonpositiveParameter
-from .spaces import FiniteMetricSpace, PointSet, all_distinguishers, max_k
+from .spaces import FiniteMetricSpace, PointSet, _bits, all_distinguishers, max_k
 
 DEFAULT_BUDGET_SECS = 60.0
 BRUTEFORCE_CAP = 16
@@ -183,30 +183,27 @@ def greedy_upper(space: FiniteMetricSpace, k: int) -> tuple[int, PointSet] | Non
     when no k-generator exists (k exceeds max_k)."""
     if k < 1:
         raise NonpositiveParameter("k", k)
-    masks = all_distinguishers(space).masks
-    if min(m.bit_count() for m in masks) < k:
+    dmap = all_distinguishers(space)
+    if dmap.min_size() < k:
         return None
-    n = space.n
-    deficits = [k] * len(masks)
+    columns = dmap.columns
+    # layers[j] holds the pairs whose deficit is still above j, so a point's
+    # gain is the number of open pairs in its column.
+    layers = [(1 << len(dmap)) - 1] * k + [0]
     chosen_mask = 0
-    chosen: list[int] = []
-    while any(d > 0 for d in deficits):
+    while layers[0]:
         best_gain = -1
         best_x = -1
-        for x in range(n):
-            bit = 1 << x
-            if chosen_mask & bit:
-                continue
-            gain = sum(1 for m, d in zip(masks, deficits) if d > 0 and m & bit)
-            if gain > best_gain:
+        for x, column in enumerate(columns):
+            gain = (column & layers[0]).bit_count()
+            if gain > best_gain and not chosen_mask >> x & 1:
                 best_gain = gain
                 best_x = x
         chosen_mask |= 1 << best_x
-        chosen.append(best_x)
-        for i, m in enumerate(masks):
-            if deficits[i] > 0 and m & (1 << best_x):
-                deficits[i] -= 1
-    return len(chosen), PointSet.of(chosen)
+        column = columns[best_x]
+        for j in range(k):
+            layers[j] = (layers[j] & ~column) | (layers[j + 1] & column)
+    return chosen_mask.bit_count(), PointSet.from_mask(chosen_mask)
 
 
 def dim_bruteforce(space: FiniteMetricSpace, k: int, *, cap: int = BRUTEFORCE_CAP) -> ExtendedNat:
@@ -248,15 +245,6 @@ def _reduced_constraints(masks: Sequence[int], k: int) -> list[tuple[int, int]]:
             continue
         kept.append(m)
     return [(m, k) for m in kept]
-
-
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def _packing_bound(residuals: Sequence[tuple[int, int]]) -> int:

@@ -6,6 +6,12 @@ transitive.  Floating-point input is quantized to a fixed number of
 decimal digits at load time and the precision is recorded in the space's
 metadata, because tolerance-based equality would corrupt bisectors.
 
+Comparisons run on common-denominator integers: each space also carries
+its distances times the lcm L of their denominators.  Integers scaled by
+one L are equal, or ordered, exactly when the fractions are, so
+validation, bisectors and distinguisher masks use plain (and bit-parallel)
+integer code, while `dist`, messages and JSON keep the fractions.
+
 All types are immutable after construction and all operations are pure
 functions; spaces can be shared freely across parallel workers.
 """
@@ -13,10 +19,13 @@ functions; spaces can be shared freely across parallel workers.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
+from operator import sub
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -39,6 +48,22 @@ class TwoPointSpaceWarning(UserWarning):
     """A 2-point space is accepted but degenerate for dimension analysis."""
 
 
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of `mask`, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _scaled(dist) -> tuple[tuple[int, ...], ...]:
+    """The matrix times the lcm of its denominators, as exact integers."""
+    scale = math.lcm(*{x.denominator for row in dist for x in row})
+    return tuple(tuple(x.numerator * (scale // x.denominator) for x in row) for row in dist)
+
+
 def as_rational(value, quantize_digits: int = DEFAULT_QUANTIZE_DIGITS) -> tuple[Fraction, bool]:
     """Coerce a distance entry to an exact Fraction.
 
@@ -53,8 +78,13 @@ def as_rational(value, quantize_digits: int = DEFAULT_QUANTIZE_DIGITS) -> tuple[
     if isinstance(value, int):
         return Fraction(value), False
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise FormatError(f"distance entry {value!r} is not a finite number")
         scale = 10**quantize_digits
-        return Fraction(round(value * scale), scale), True
+        scaled = value * scale
+        if not math.isfinite(scaled):
+            raise FormatError(f"distance entry {value!r} is too large to quantize to {quantize_digits} digits")
+        return Fraction(round(scaled), scale), True
     if isinstance(value, str):
         try:
             return Fraction(value), False
@@ -82,12 +112,7 @@ class PointSet:
 
     @classmethod
     def from_mask(cls, mask: int) -> "PointSet":
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
-        return cls(tuple(out))
+        return cls(tuple(_bits(mask)))
 
     def to_mask(self) -> int:
         mask = 0
@@ -143,42 +168,79 @@ class FiniteMetricSpace:
                 yield u, v
 
     @cached_property
+    def _int_dist(self) -> tuple[tuple[int, ...], ...]:
+        return _scaled(self.dist)
+
+    @cached_property
     def _distinguishers(self) -> "DistinguisherMap":
-        pairs = []
-        sets = []
-        n = self.n
-        for u in range(n):
-            du = self.dist[u]
-            for v in range(u + 1, n):
-                dv = self.dist[v]
-                pairs.append((u, v))
-                sets.append(PointSet(tuple(x for x in range(n) if du[x] != dv[x])))
-        return DistinguisherMap(tuple(pairs), tuple(sets))
+        return DistinguisherMap(self._int_dist)
 
 
 @dataclass(frozen=True)
 class DistinguisherMap:
-    """For each unordered pair (u,v), the points whose distances to u and v differ."""
+    """For each unordered pair (u,v), the points whose distances to u and v differ.
 
-    pairs: tuple[tuple[int, int], ...]
-    sets: tuple[PointSet, ...]
+    Pairs come in lexicographic order.  Each distinguisher set is a bitmask
+    over the points, computed from `rows`, the distance matrix in
+    common-denominator integers.
+    """
 
-    @cached_property
-    def _pair_index(self) -> dict[tuple[int, int], int]:
-        return {p: i for i, p in enumerate(self.pairs)}
-
-    def get(self, u: int, v: int) -> PointSet:
-        return self.sets[self._pair_index[(min(u, v), max(u, v))]]
+    rows: tuple[tuple[int, ...], ...]
 
     @cached_property
     def masks(self) -> tuple[int, ...]:
-        return tuple(s.to_mask() for s in self.sets)
+        # Group each row by value; u and v tie at x exactly when x lies in
+        # the same value group of both rows.
+        groups = []
+        for row in self.rows:
+            group: dict[int, int] = {}
+            for x, value in enumerate(row):
+                group[value] = group.get(value, 0) | 1 << x
+            groups.append(group)
+        full = (1 << len(self.rows)) - 1
+        out = []
+        for u, group_u in enumerate(groups):
+            items = tuple(group_u.items())
+            for group_v in groups[u + 1:]:
+                same = 0
+                for value, mask in items:
+                    same |= mask & group_v.get(value, 0)
+                out.append(full ^ same)
+        return tuple(out)
+
+    @cached_property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        return tuple(combinations(range(len(self.rows)), 2))
+
+    @cached_property
+    def sets(self) -> tuple[PointSet, ...]:
+        return tuple(PointSet.from_mask(m) for m in self.masks)
+
+    @cached_property
+    def columns(self) -> tuple[int, ...]:
+        """Per point, the mask over pair indices of the pairs it distinguishes."""
+        n = len(self.rows)
+        # One n-digit binary row per pair, last pair first; column x read
+        # downwards is then the base-2 numeral of point x's pair mask.
+        text = "".join(format(m, f"0{n}b") for m in reversed(self.masks))
+        return tuple(int(text[n - 1 - x::n], 2) for x in range(n))
+
+    def mask(self, u: int, v: int) -> int:
+        u, v = min(u, v), max(u, v)
+        n = len(self.rows)
+        if not 0 <= u < v < n:
+            raise KeyError((u, v))
+        return self.masks[u * (2 * n - u - 1) // 2 + v - u - 1]
+
+    def get(self, u: int, v: int) -> PointSet:
+        return PointSet.from_mask(self.mask(u, v))
 
     def min_size(self) -> int:
-        return min(len(s) for s in self.sets)
+        return min(m.bit_count() for m in self.masks)
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        n = len(self.rows)
+        return n * (n - 1) // 2
 
 
 @dataclass(frozen=True)
@@ -229,30 +291,38 @@ def build_space(labels, dist, meta=None, *, quantize_digits: int = DEFAULT_QUANT
             cooked.append(value)
         matrix.append(tuple(cooked))
     d = tuple(matrix)
+    z = _scaled(d)
     for i in range(n):
-        if d[i][i] != 0:
+        zi = z[i]
+        if zi[i] != 0:
             raise FormatError(f"d[{i}][{i}]={d[i][i]} must be 0")
         for j in range(i + 1, n):
-            if d[i][j] != d[j][i]:
+            if zi[j] != z[j][i]:
                 raise AsymmetricDistance(i, j, d[i][j], d[j][i])
-            if d[i][j] < 0:
+            if zi[j] < 0:
                 raise NegativeDistance(i, j, d[i][j])
-            if d[i][j] == 0:
+            if zi[j] == 0:
                 raise ZeroOffDiagonal(i, j)
-    for i in range(n):
-        di = d[i]
-        for j in range(n):
-            if j == i:
-                continue
-            dj = d[j]
-            dij = di[j]
-            for k in range(n):
-                if di[k] > dij + dj[k]:
-                    raise TriangleViolation(i, j, k, di[k], dij + dj[k])
+    # d[i][k] <= d[i][j] + d[j][k] for every k  <=>  max_k (z_ik - z_jk) <= z_ij.
+    for i, zi in enumerate(z):
+        for j, zj in enumerate(z):
+            if j != i and max(map(sub, zi, zj)) > zi[j]:
+                _raise_triangle(d, i, j)
     meta = dict(meta or {})
     if quantized:
         meta.setdefault("quantization_digits", quantize_digits)
-    return FiniteMetricSpace(labels, d, meta)
+    space = FiniteMetricSpace(labels, d, meta)
+    vars(space)["_int_dist"] = z  # fill the cached_property; z is already at hand
+    return space
+
+
+def _raise_triangle(d, i: int, j: int):
+    """Report the first k with d[i][k] > d[i][j] + d[j][k], in exact fractions."""
+    di, dj, dij = d[i], d[j], d[i][j]
+    for k in range(len(d)):
+        if di[k] > dij + dj[k]:
+            raise TriangleViolation(i, j, k, di[k], dij + dj[k])
+    raise AssertionError(f"no triangle violation at ({i}, {j})")
 
 
 def _check_pair(space: FiniteMetricSpace, u: int, v: int) -> None:
@@ -266,15 +336,13 @@ def _check_pair(space: FiniteMetricSpace, u: int, v: int) -> None:
 def bisector(space: FiniteMetricSpace, u: int, v: int) -> PointSet:
     """Points equidistant from u and v.  Never contains u or v."""
     _check_pair(space, u, v)
-    du, dv = space.dist[u], space.dist[v]
-    return PointSet(tuple(x for x in range(space.n) if du[x] == dv[x]))
+    return PointSet.from_mask(((1 << space.n) - 1) ^ space._distinguishers.mask(u, v))
 
 
 def distinguishers(space: FiniteMetricSpace, u: int, v: int) -> PointSet:
     """Complement of the bisector of (u,v).  Always contains u and v."""
     _check_pair(space, u, v)
-    du, dv = space.dist[u], space.dist[v]
-    return PointSet(tuple(x for x in range(space.n) if du[x] != dv[x]))
+    return space._distinguishers.get(u, v)
 
 
 def all_distinguishers(space: FiniteMetricSpace) -> DistinguisherMap:

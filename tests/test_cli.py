@@ -220,6 +220,24 @@ class TestErrors:
         code, _ = run(capsys, "analyze", "--k", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("entry", ["NaN", "1e308"])
+    def test_unquantizable_float_in_space_json(self, capsys, tmp_path, entry):
+        path = tmp_path / "space.json"
+        path.write_text('{"labels": ["a", "b", "c"], '
+                        f'"distances": [[0, 1, 1], [1, 0, {entry}], [1, {entry}, 0]]}}')
+        assert cli.main(["analyze", "--input", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: distance entry")
+
+    def test_non_utf8_file(self, capsys, tmp_path):
+        path = tmp_path / "graph.txt"
+        path.write_bytes(b"a b\n\xff\xfe c\n")
+        assert cli.main(["analyze", "--input", str(path)]) == 2
+        assert "not UTF-8" in capsys.readouterr().err
+
+    def test_input_is_a_directory(self, capsys, tmp_path):
+        assert cli.main(["analyze", "--input", str(tmp_path)]) == 2
+        assert "Is a directory" in capsys.readouterr().err
+
     def test_both_sources_rejected(self, capsys):
         with pytest.raises(SystemExit) as err:
             cli.main(["analyze", "--family", "petersen", "--input", "x.json"])

@@ -1,0 +1,257 @@
+"""The integer kernel against the plain Fraction definitions it replaces.
+
+Validation, distinguisher masks, the greedy and the random rational
+metrics run on common-denominator integers and bitsets.  Each test here
+keeps the straightforward Fraction version as a reference and requires
+the same result: the same exception (class, indices, message) for bad
+input, the same masks, the same greedy (value, set), the same spaces.
+"""
+
+import random
+import warnings
+from fractions import Fraction
+from itertools import combinations
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+from kmetric.errors import (
+    AsymmetricDistance,
+    FormatError,
+    KMetricError,
+    NegativeDistance,
+    TriangleViolation,
+    ZeroOffDiagonal,
+)
+from kmetric.randgen import random_rational_metric
+from kmetric.solver import greedy_upper
+from kmetric.spaces import (
+    PointSet,
+    TwoPointSpaceWarning,
+    all_distinguishers,
+    as_rational,
+    bisector,
+    build_space,
+    distinguishers,
+    max_k,
+)
+
+from conftest import metric_spaces
+
+
+# --- reference implementations ----------------------------------------------
+
+def reference_scan(d):
+    """The Fraction validation scan, in its original order; the first error or None."""
+    n = len(d)
+    for i in range(n):
+        if d[i][i] != 0:
+            return FormatError(f"d[{i}][{i}]={d[i][i]} must be 0")
+        for j in range(i + 1, n):
+            if d[i][j] != d[j][i]:
+                return AsymmetricDistance(i, j, d[i][j], d[j][i])
+            if d[i][j] < 0:
+                return NegativeDistance(i, j, d[i][j])
+            if d[i][j] == 0:
+                return ZeroOffDiagonal(i, j)
+    for i in range(n):
+        for j in range(n):
+            if j == i:
+                continue
+            for k in range(n):
+                if d[i][k] > d[i][j] + d[j][k]:
+                    return TriangleViolation(i, j, k, d[i][k], d[i][j] + d[j][k])
+    return None
+
+
+def reference_masks(space):
+    out = []
+    for u, v in combinations(range(space.n), 2):
+        du, dv = space.dist[u], space.dist[v]
+        out.append(sum(1 << x for x in range(space.n) if du[x] != dv[x]))
+    return tuple(out)
+
+
+def reference_greedy(space, k):
+    """The deficit-list greedy: one deficit per pair, rescanned for every point."""
+    masks = reference_masks(space)
+    if min(m.bit_count() for m in masks) < k:
+        return None
+    deficits = [k] * len(masks)
+    chosen_mask = 0
+    chosen = []
+    while any(d > 0 for d in deficits):
+        best_gain = -1
+        best_x = -1
+        for x in range(space.n):
+            bit = 1 << x
+            if chosen_mask & bit:
+                continue
+            gain = sum(1 for m, d in zip(masks, deficits) if d > 0 and m & bit)
+            if gain > best_gain:
+                best_gain = gain
+                best_x = x
+        chosen_mask |= 1 << best_x
+        chosen.append(best_x)
+        for i, m in enumerate(masks):
+            if deficits[i] > 0 and m & (1 << best_x):
+                deficits[i] -= 1
+    return len(chosen), PointSet.of(chosen)
+
+
+def reference_rational_metric(n, rng, max_weight=8):
+    """Shortest-path closure of random rational weights, in Fractions."""
+    d = [[Fraction(0)] * n for _ in range(n)]
+    for u in range(n):
+        for v in range(u + 1, n):
+            w = Fraction(rng.randint(1, max_weight), rng.randint(1, 3))
+            d[u][v] = d[v][u] = w
+    for mid in range(n):
+        for u in range(n):
+            for v in range(n):
+                d[u][v] = min(d[u][v], d[u][mid] + d[mid][v])
+    return d
+
+
+# --- strategies ---------------------------------------------------------------
+
+@st.composite
+def line_metrics(draw, min_n=2, max_n=7):
+    """|x_i - x_j| for rational points with mixed denominators: always a metric."""
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
+    points = draw(st.lists(
+        st.fractions(min_value=-20, max_value=20, max_denominator=12),
+        min_size=n, max_size=n, unique=True))
+    return [[abs(a - b) for b in points] for a in points]
+
+
+@st.composite
+def faulty_matrices(draw):
+    """A metric with one planted fault (or none), entries as ints, strings, floats or Fractions."""
+    source = draw(st.sampled_from(["line", "random"]))
+    if source == "line":
+        d = draw(line_metrics())
+    else:
+        n = draw(st.integers(min_value=2, max_value=7))
+        seed = draw(st.integers(min_value=0, max_value=2**20))
+        d = [list(row) for row in random_rational_metric(n, random.Random(seed)).dist]
+    n = len(d)
+    fault = draw(st.sampled_from(["none", "diagonal", "asymmetric", "zero", "one-sided",
+                                  "negative", "triangle", "perturb", "perturb"]))
+    i, j = draw(st.lists(st.integers(min_value=0, max_value=n - 1), min_size=2, max_size=2, unique=True))
+    delta = draw(st.fractions(min_value=Fraction(1, 7), max_value=30, max_denominator=9))
+    if fault == "diagonal":
+        d[i][i] = delta
+    elif fault == "asymmetric":
+        d[i][j] += draw(st.sampled_from([-1, 1])) * delta
+    elif fault == "zero":
+        d[i][j] = d[j][i] = Fraction(0)
+    elif fault == "one-sided":
+        d[i][j] = draw(st.sampled_from([Fraction(0), -delta]))
+    elif fault == "negative":
+        d[i][j] = d[j][i] = -delta
+    elif fault == "triangle":
+        d[i][j] = d[j][i] = d[i][j] + max(max(row) for row in d) + delta
+    elif fault == "perturb":
+        d[i][j] = d[j][i] = max(d[i][j] + draw(st.sampled_from([-1, 1])) * delta, Fraction(1, 5))
+    style = draw(st.sampled_from(["fraction", "str", "float", "mixed"]))
+    if style == "str":
+        d = [[str(x) for x in row] for row in d]
+    elif style == "float":
+        d = [[float(x) for x in row] for row in d]
+    elif style == "mixed":
+        kinds = draw(st.lists(st.sampled_from([str, float, Fraction]), min_size=n * n, max_size=n * n))
+        d = [[kinds[r * n + c](d[r][c]) for c in range(n)] for r in range(n)]
+    return d
+
+
+def outcome(fn):
+    try:
+        fn()
+    except KMetricError as exc:
+        return type(exc), getattr(exc, "indices", None), str(exc)
+    return None
+
+
+# --- tests --------------------------------------------------------------------
+
+class TestValidation:
+    @settings(max_examples=150)
+    @given(faulty_matrices())
+    def test_same_error_as_the_fraction_scan(self, d):
+        labels = [f"p{i}" for i in range(len(d))]
+        exact = [[as_rational(x)[0] for x in row] for row in d]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TwoPointSpaceWarning)
+            got = outcome(lambda: build_space(labels, d))
+        want = reference_scan(exact)
+        assert got == (None if want is None else (type(want), getattr(want, "indices", None), str(want)))
+
+    @given(line_metrics(min_n=3))
+    def test_integer_rows_keep_equality_and_order(self, d):
+        space = build_space([f"p{i}" for i in range(len(d))], d)
+        z = space._int_dist
+        cells = [(r, c) for r in range(space.n) for c in range(space.n)]
+        for (a, b), (c, e) in combinations(cells, 2):
+            assert (z[a][b] < z[c][e]) == (d[a][b] < d[c][e])
+            assert (z[a][b] == z[c][e]) == (d[a][b] == d[c][e])
+
+
+class TestMasks:
+    @given(metric_spaces(min_n=3, max_n=9))
+    def test_masks_match_the_definition(self, space):
+        dmap = all_distinguishers(space)
+        assert dmap.masks == reference_masks(space)
+        assert dmap.pairs == tuple(combinations(range(space.n), 2))
+        assert len(dmap) == len(dmap.pairs)
+        assert dmap.sets == tuple(PointSet.from_mask(m) for m in dmap.masks)
+        for p, (u, v) in enumerate(dmap.pairs):
+            assert dmap.get(v, u) == dmap.sets[p]
+            assert distinguishers(space, u, v) == dmap.sets[p]
+            du, dv = space.dist[u], space.dist[v]
+            assert bisector(space, u, v).indices == tuple(x for x in range(space.n) if du[x] == dv[x])
+
+    @given(metric_spaces(min_n=3, max_n=9))
+    def test_columns_transpose_the_masks(self, space):
+        dmap = all_distinguishers(space)
+        for x, column in enumerate(dmap.columns):
+            assert column == sum(1 << p for p, m in enumerate(dmap.masks) if m >> x & 1)
+
+    @given(line_metrics(min_n=3))
+    def test_mixed_denominators(self, d):
+        space = build_space([f"p{i}" for i in range(len(d))], d)
+        assert all_distinguishers(space).masks == reference_masks(space)
+
+    def test_get_rejects_a_non_pair(self):
+        dmap = all_distinguishers(random_rational_metric(4, random.Random(1)))
+        for u, v in ((1, 1), (-1, 2), (0, 4)):
+            with pytest.raises(KeyError):
+                dmap.get(u, v)
+
+
+class TestGreedy:
+    @given(metric_spaces(min_n=3, max_n=9))
+    def test_same_value_and_set_at_every_k(self, space):
+        for k in range(1, max_k(space) + 2):
+            assert greedy_upper(space, k) == reference_greedy(space, k)
+
+
+class TestRandomRationalMetric:
+    @given(st.integers(min_value=2, max_value=9), st.integers(min_value=0, max_value=2**20))
+    def test_integer_closure_gives_the_same_fractions(self, n, seed):
+        space = random_rational_metric(n, random.Random(seed))
+        want = reference_rational_metric(n, random.Random(seed))
+        assert [list(row) for row in space.dist] == want
+
+
+class TestAsRational:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 1e308, -1e300])
+    def test_unquantizable_floats_are_format_errors(self, value):
+        with pytest.raises(FormatError):
+            as_rational(value)
+
+    @given(st.floats(min_value=-1e290, max_value=1e290))
+    def test_finite_floats_keep_their_quantization(self, value):
+        scale = 10**12
+        assert as_rational(value) == (Fraction(round(value * scale), scale), True)
