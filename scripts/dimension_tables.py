@@ -10,7 +10,7 @@ import sys
 import time
 
 from kmetric.families import expected_sequence, make_space, parse_family
-from kmetric.solver import dimension_sequence
+from kmetric.solver import DEFAULT_BUDGET_SECS, dimension_sequence
 from kmetric.spaces import max_k
 
 TOKENS = [
@@ -29,7 +29,7 @@ TOKENS = [
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--budget-secs", type=float, default=60.0)
+    parser.add_argument("--budget-secs", type=float, default=DEFAULT_BUDGET_SECS)
     args = parser.parse_args()
 
     width = max(len(t) for t in TOKENS)

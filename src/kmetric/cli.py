@@ -8,7 +8,7 @@ dimensions).
 Exit codes: 0 success, 2 input error, 3 budget exhausted with only bounds,
 4 property violation in a verify suite.
 
-Sequential runs are reproducible: the same arguments and seed produce
+Runs are reproducible: the same arguments and seed produce
 byte-identical JSON/CSV output, so timing never appears in the payload.
 """
 
@@ -25,7 +25,7 @@ from pathlib import Path
 from .errors import FormatError, KMetricError
 from .families import expected_sequence, make_space, parse_family
 from .graphs import parse_edge_list, shortest_path_metric
-from .solver import ExtendedNat, dim_exact, sequence_with_reports
+from .solver import DEFAULT_BUDGET_SECS, ExtendedNat, dim_exact, sequence_with_reports
 from .spaces import (
     FiniteMetricSpace,
     dump_space,
@@ -35,7 +35,7 @@ from .spaces import (
     space_to_json_dict,
     truncate,
 )
-from .verify import SUITE_NAMES, run_suite
+from .verify import SUITE_NAMES, join_dimensions, run_suite
 
 SCHEMA = 1
 EXIT_OK = 0
@@ -62,7 +62,6 @@ class RunConfig:
     fmt: str = "plain"
     seed: int = 0
     budget_secs: float | None = None
-    parallel: bool = False
     random_count: int | None = None
     n: int | None = None
     suite: str | None = None
@@ -76,7 +75,7 @@ class RunConfig:
                 return float(env)
             except ValueError as exc:
                 raise KMetricError(f"{BUDGET_ENV_VAR}={env!r} is not a number") from exc
-        return 60.0
+        return DEFAULT_BUDGET_SECS
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -93,7 +92,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         fmt=getattr(args, "format", "plain"),
         seed=getattr(args, "seed", 0),
         budget_secs=getattr(args, "budget_secs", None),
-        parallel=getattr(args, "parallel", False),
         random_count=getattr(args, "random", None),
         n=getattr(args, "n", None),
         suite=getattr(args, "suite", None),
@@ -152,7 +150,7 @@ def cmd_analyze(config: RunConfig) -> int:
     csv_rows = ["key,value", f"n,{space.n}", f"max_k,{cap}"]
     exit_code = EXIT_OK
     if config.k is not None:
-        report = dim_exact(space, config.k, budget_secs=config.budget(), parallel=config.parallel)
+        report = dim_exact(space, config.k, budget_secs=config.budget())
         payload["k"] = config.k
         payload["dim"] = _dim_cell(report.optimum)
         payload["status"] = report.status
@@ -189,8 +187,7 @@ def cmd_sequence(config: RunConfig) -> int:
         space = truncate(space, config.t)
         source = f"{source} truncated at t={config.t}"
     cap = max_k(space)
-    seq, reports = sequence_with_reports(
-        space, config.k_max, budget_secs=config.budget(), parallel=config.parallel)
+    seq, reports = sequence_with_reports(space, config.k_max, budget_secs=config.budget())
     payload: dict = {
         "schema": SCHEMA,
         "command": "sequence",
@@ -308,11 +305,7 @@ def cmd_join(config: RunConfig) -> int:
     budget = config.budget()
     table = []
     for k in ks:
-        da = dim_exact(space_a, k, budget_secs=budget).optimum
-        db = dim_exact(space_b, k, budget_secs=budget).optimum
-        dat = dim_exact(truncate(space_a, t), k, budget_secs=budget).optimum
-        dbt = dim_exact(truncate(space_b, t), k, budget_secs=budget).optimum
-        dj = dim_exact(joined, k, budget_secs=budget).optimum
+        da, db, dat, dbt, dj = join_dimensions(space_a, space_b, joined, t, k, budget_secs=budget)
         total = da + db
         relation = "=" if total == dj else ("<" if total < dj else ">")
         table.append({
@@ -356,9 +349,7 @@ def _add_common(sub: argparse.ArgumentParser, *, source: bool = True):
     sub.add_argument("--format", choices=("json", "csv", "plain"), default="plain")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--budget-secs", dest="budget_secs", type=float, default=None,
-                     help=f"per-level time budget (default 60, env {BUDGET_ENV_VAR})")
-    sub.add_argument("--parallel", action="store_true",
-                     help="split the search over processes; optimum unchanged, basis may differ")
+                     help=f"per-level time budget (default {DEFAULT_BUDGET_SECS:g}, env {BUDGET_ENV_VAR})")
 
 
 def build_parser() -> argparse.ArgumentParser:

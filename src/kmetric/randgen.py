@@ -12,42 +12,26 @@ import random
 import warnings
 from fractions import Fraction
 
-from .graphs import Graph, build_graph, shortest_path_metric
+from .graphs import Graph, _bfs, shortest_path_metric
 from .spaces import FiniteMetricSpace, TwoPointSpaceWarning, build_space
 
 
-def _connected(n: int, edges: list[tuple[int, int]]) -> bool:
-    adj = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == n
+def _connected_graph(n: int, edges: list[tuple[int, int]]) -> Graph | None:
+    """The graph g0..g{n-1} on index edges, or None when it is disconnected."""
+    graph = Graph(tuple(f"g{i}" for i in range(n)), tuple(edges))
+    return None if None in _bfs(graph, 0) else graph
 
 
 def random_connected_graph(n: int, rng: random.Random, edge_prob: float | None = None) -> Graph:
     """Erdos-Renyi G(n, p) resampled until connected."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    p = edge_prob
-    attempts = 0
     while True:
-        attempts += 1
-        prob = p if p is not None else rng.uniform(0.25, 0.6)
+        prob = edge_prob if edge_prob is not None else rng.uniform(0.25, 0.6)
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < prob]
-        if _connected(n, edges):
-            break
-        if attempts % 50 == 0 and p is None:
-            prob = min(0.9, prob + 0.1)
-    labels = [f"g{i}" for i in range(n)]
-    return build_graph(labels, [(labels[u], labels[v]) for u, v in edges])
+        graph = _connected_graph(n, edges)
+        if graph is not None:
+            return graph
 
 
 def random_bipartite_connected_graph(n: int, rng: random.Random) -> Graph:
@@ -65,10 +49,9 @@ def random_bipartite_connected_graph(n: int, rng: random.Random) -> Graph:
             for v in range(u + 1, n)
             if sides[u] != sides[v] and rng.random() < prob
         ]
-        if _connected(n, edges):
-            break
-    labels = [f"g{i}" for i in range(n)]
-    return build_graph(labels, [(labels[u], labels[v]) for u, v in edges])
+        graph = _connected_graph(n, edges)
+        if graph is not None:
+            return graph
 
 
 def random_graph_metric(n: int, rng: random.Random) -> FiniteMetricSpace:

@@ -6,8 +6,9 @@ distances to u and v differ.  This is a set multicover instance whose
 covering sets are the per-pair distinguisher sets; it is attacked by
 branch-and-bound over point inclusion.
 
-Search design (sequential mode is deterministic):
-  * constraints are deduplicated and superset-dominated ones dropped;
+Search design (deterministic):
+  * constraints are deduplicated and superset-dominated ones dropped,
+    once per space (`DistinguisherMap.reduced_masks`);
   * branching picks the unsatisfied pair with the smallest residual
     distinguisher set (fail-first) and tries its remaining points in
     index order, excluding earlier-tried siblings to avoid revisits;
@@ -18,20 +19,20 @@ Search design (sequential mode is deterministic):
     plus one when solving a sequence level, a greedy packing of pairwise
     disjoint distinguisher sets, and a decomposition bound that solves
     support-disjoint constraint clusters exactly when their support is
-    small (memoized); the maximum of all applies.
+    small (memoized); the maximum of all applies;
+  * a search is given a floor, a proven lower bound: a cover that small
+    ends it, because nothing smaller exists.
 
-After the optimum is proven, the reported basis is recomputed as the
-lexicographically smallest optimal set (sequential mode), so repeated
-runs are byte-identical.  Parallel mode splits the root branches over a
-process pool: the optimum is schedule-independent but the basis is
-whichever witness a worker found first.
+After the optimum is proven, the reported basis is the lexicographically
+smallest optimal set, so repeated runs are byte-identical.  It is found by
+fix-and-probe on the same search: points are decided in index order, and
+a point is kept when an optimal cover still exists with it and the points
+kept so far, and without the points turned down so far.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import total_ordering
 from itertools import combinations
@@ -230,22 +231,7 @@ def dim_bruteforce(space: FiniteMetricSpace, k: int, *, cap: int = BRUTEFORCE_CA
     raise AssertionError("a feasible instance must admit the full point set")
 
 
-# --- constraint preprocessing -----------------------------------------------
-
-def _reduced_constraints(masks: Sequence[int], k: int) -> list[tuple[int, int]]:
-    """Dedup equal distinguisher sets and drop supersets of other sets.
-
-    All constraints carry the same requirement k, so if one distinguisher
-    set contains another, satisfying the smaller one implies the larger.
-    """
-    unique = sorted(set(masks), key=lambda m: (m.bit_count(), m))
-    kept: list[int] = []
-    for m in unique:
-        if any(km & m == km for km in kept):
-            continue
-        kept.append(m)
-    return [(m, k) for m in kept]
-
+# --- lower bounds -------------------------------------------------------------
 
 def _packing_bound(residuals: Sequence[tuple[int, int]]) -> int:
     """Sum of requirements over a greedily chosen pairwise-disjoint family."""
@@ -319,17 +305,27 @@ class _BudgetExceeded(Exception):
     pass
 
 
+class _FloorReached(Exception):
+    pass
+
+
 class _Search:
-    """DFS over point inclusions for one multicover instance."""
+    """DFS over point inclusions for one multicover instance.
+
+    It looks for covers smaller than the incumbent.  A cover of at most
+    `floor` points ends it, because nothing smaller exists.  `cache`
+    memoizes cluster bounds and may be shared between searches.
+    """
 
     def __init__(self, constraints: Sequence[tuple[int, int]], incumbent_size: int,
-                 incumbent_mask: int, deadline: float | None):
-        self.constraints = list(constraints)
+                 incumbent_mask: int, deadline: float | None, *, floor: int, cache: dict):
+        self.constraints = constraints
         self.best_size = incumbent_size
         self.best_mask = incumbent_mask
         self.deadline = deadline
+        self.floor = floor
         self.nodes = 0
-        self.cache: dict = {}
+        self.cache = cache
 
     def _check_budget(self):
         if self.deadline is not None and time.monotonic() > self.deadline:
@@ -359,8 +355,12 @@ class _Search:
                 return residuals
             chosen |= forced
 
-    def run(self):
-        self._visit(0, 0)
+    def run(self, chosen: int = 0, banned: int = 0):
+        """Search the covers that contain `chosen` and avoid `banned`."""
+        try:
+            self._visit(chosen, banned)
+        except _FloorReached:
+            pass
 
     def _visit(self, chosen: int, banned: int):
         self.nodes += 1
@@ -374,6 +374,8 @@ class _Search:
             if size < self.best_size:
                 self.best_size = size
                 self.best_mask = chosen
+                if size <= self.floor:
+                    raise _FloorReached
             return
         bound = max(max(need for _, need in residuals), _cluster_bound(residuals, self.cache))
         if size + bound >= self.best_size:
@@ -386,78 +388,59 @@ class _Search:
             excluded |= 1 << points[j]
 
 
-def _solve_subtree(args) -> tuple[int, int, int, bool]:
-    """Worker entry for parallel mode: solve one root branch to completion."""
-    constraints, chosen, banned, incumbent_size, incumbent_mask, budget = args
-    deadline = time.monotonic() + budget if budget is not None else None
-    search = _Search(constraints, incumbent_size, incumbent_mask, deadline)
-    timed_out = False
-    try:
-        search._visit(chosen, banned)
-    except _BudgetExceeded:
-        timed_out = True
-    return search.best_size, search.best_mask, search.nodes, timed_out
+def _lex_min_cover(constraints: Sequence[tuple[int, int]], target: int, witness: int,
+                   deadline: float | None, cache: dict) -> tuple[int, int]:
+    """The lexicographically smallest cover of `target` points, the optimum.
 
+    Fix-and-probe: the lowest undecided point x that could still help
+    (one in a constraint the fixed points leave unmet) is fixed when some
+    optimal cover contains x and the fixed points and avoids the rejected
+    ones, and rejected otherwise.  `witness` is always such a cover, so a
+    point in it is fixed without a probe; for any other point a search
+    with floor `target` looks for one, and a cover it finds becomes the
+    witness.  A point outside every unmet constraint is in no optimal
+    cover: dropping it would leave a smaller one.
 
-def _lex_min_basis(constraints: Sequence[tuple[int, int]], target: int,
-                   deadline: float | None, cache: dict) -> tuple[int | None, int]:
-    """First valid point set of size `target` in lexicographic subset order.
-
-    Only points in some unsatisfied constraint's residual set can appear in
-    an optimal solution (anything else could be dropped), so candidates are
-    drawn from the residual support at each step.
+    Returns (cover, nodes).  If the deadline passes, the cover is the
+    current witness: optimal, but not necessarily lexicographically first.
     """
+    fixed = rejected = 0
     nodes = 0
-
-    def residuals_for(chosen: int, start: int) -> list[tuple[int, int]] | None:
-        low_banned = (1 << start) - 1 & ~chosen
-        out = []
-        for mask, need in constraints:
-            have = (mask & chosen).bit_count()
-            if have >= need:
-                continue
-            rmask = mask & ~chosen & ~low_banned
-            rneed = need - have
-            if rmask.bit_count() < rneed:
-                return None
-            out.append((rmask, rneed))
-        return out
-
-    def extend(chosen: int, start: int, count: int) -> int | None:
-        nonlocal nodes
-        nodes += 1
-        if deadline is not None and time.monotonic() > deadline:
-            raise _BudgetExceeded
-        residuals = residuals_for(chosen, start)
-        if residuals is None:
-            return None
-        if not residuals:
-            return chosen
-        if count >= target:
-            return None
-        if count + max(max(need for _, need in residuals),
-                       _cluster_bound(residuals, cache)) > target:
-            return None
+    while True:
         support = 0
-        for rmask, _ in residuals:
-            support |= rmask
-        for x in _bits(support):
-            found = extend(chosen | (1 << x), x + 1, count + 1)
-            if found is not None:
-                return found
-        return None
-
-    try:
-        return extend(0, 0, 0), nodes
-    except _BudgetExceeded:
-        return None, nodes
+        for mask, need in constraints:
+            if (mask & fixed).bit_count() < need:
+                support |= mask
+        support &= ~(fixed | rejected)
+        if not support:
+            return fixed, nodes
+        x = support & -support
+        if witness & x:
+            fixed |= x
+            continue
+        probe = _Search(constraints, target + 1, 0, deadline, floor=target, cache=cache)
+        try:
+            probe.run(fixed | x, rejected)
+        except _BudgetExceeded:
+            return witness, nodes + probe.nodes
+        nodes += probe.nodes
+        if probe.best_size <= target:
+            fixed |= x
+            witness = probe.best_mask
+        else:
+            rejected |= x
 
 
 def dim_exact(space: FiniteMetricSpace, k: int, *, budget_secs: float | None = DEFAULT_BUDGET_SECS,
-              prev_dim: int | None = None, parallel: bool = False) -> SolveReport:
+              prev_dim: int | None = None) -> SolveReport:
     """Exact k-metric dimension via branch-and-bound multicover search.
 
-    `prev_dim` feeds the previous sequence level in as a lower bound.
+    `prev_dim` feeds the previous sequence level in as a lower bound.  The
+    search stops at the first cover as small as the root lower bound.  The
+    basis is then rebuilt as the lexicographically smallest optimal set by
+    fix-and-probe (`_lex_min_cover`).  The root bounds, the search and the
+    probes share one cluster-bound cache.
+
     On budget exhaustion the report carries status "bounded" with the
     proven (lower, incumbent) interval instead of an exact optimum.  If
     the budget runs out only during the lex-min basis reconstruction the
@@ -478,7 +461,7 @@ def dim_exact(space: FiniteMetricSpace, k: int, *, budget_secs: float | None = D
             elapsed=time.monotonic() - start, status="optimal",
         )
     greedy_value, greedy_set = greedy_upper(space, k)
-    constraints = _reduced_constraints(dmap.masks, k)
+    constraints = [(m, k) for m in dmap.reduced_masks]
     cache: dict = {}
     trace = [("requirement", k)]
     if prev_dim is not None:
@@ -489,77 +472,30 @@ def dim_exact(space: FiniteMetricSpace, k: int, *, budget_secs: float | None = D
     if root_lb > greedy_value:
         raise AssertionError(
             f"lower bound {root_lb} exceeds the greedy solution {greedy_value}: bound bug")
-    nodes = 0
-    timed_out = False
-    best_size, best_mask = greedy_value, greedy_set.to_mask()
+    search = _Search(constraints, greedy_value, greedy_set.to_mask(), deadline,
+                     floor=root_lb, cache=cache)
     if root_lb < greedy_value:
-        if parallel:
-            best_size, best_mask, nodes, timed_out = _parallel_search(
-                constraints, best_size, best_mask, deadline, cache)
-        else:
-            search = _Search(constraints, best_size, best_mask, deadline)
-            try:
-                search.run()
-            except _BudgetExceeded:
-                timed_out = True
-            best_size, best_mask, nodes = search.best_size, search.best_mask, search.nodes
-    if timed_out:
-        return SolveReport(
-            k=k, optimum=ExtendedNat(best_size), basis=PointSet.from_mask(best_mask),
-            lower_bound_trace=tuple(trace), nodes_explored=nodes,
-            greedy_value=greedy_value, elapsed=time.monotonic() - start,
-            status="bounded", bounds=(max(root_lb, k), best_size),
-        )
-    basis_mask = best_mask
-    if not parallel:
-        lex_mask, lex_nodes = _lex_min_basis(constraints, best_size, deadline, cache)
-        nodes += lex_nodes
-        if lex_mask is not None:
-            basis_mask = lex_mask
+        try:
+            search.run()
+        except _BudgetExceeded:
+            return SolveReport(
+                k=k, optimum=ExtendedNat(search.best_size),
+                basis=PointSet.from_mask(search.best_mask),
+                lower_bound_trace=tuple(trace), nodes_explored=search.nodes,
+                greedy_value=greedy_value, elapsed=time.monotonic() - start,
+                status="bounded", bounds=(max(root_lb, k), search.best_size),
+            )
+    basis_mask, lex_nodes = _lex_min_cover(
+        constraints, search.best_size, search.best_mask, deadline, cache)
     return SolveReport(
-        k=k, optimum=ExtendedNat(best_size), basis=PointSet.from_mask(basis_mask),
-        lower_bound_trace=tuple(trace), nodes_explored=nodes,
+        k=k, optimum=ExtendedNat(search.best_size), basis=PointSet.from_mask(basis_mask),
+        lower_bound_trace=tuple(trace), nodes_explored=search.nodes + lex_nodes,
         greedy_value=greedy_value, elapsed=time.monotonic() - start, status="optimal",
     )
 
 
-def _parallel_search(constraints, incumbent_size, incumbent_mask, deadline, cache):
-    """Split the root's branches over a process pool and merge the results."""
-    probe = _Search(constraints, incumbent_size, incumbent_mask, None)
-    residuals = probe._residuals(0, 0)
-    if residuals is None:
-        raise AssertionError("feasible instance reduced to an infeasible root")
-    chosen0 = probe._chosen
-    if not residuals:
-        size = chosen0.bit_count()
-        if size < incumbent_size:
-            return size, chosen0, 1, False
-        return incumbent_size, incumbent_mask, 1, False
-    rmask, rneed = min(residuals, key=lambda c: (c[0].bit_count(), c[0]))
-    points = _bits(rmask)
-    remaining = None if deadline is None else max(deadline - time.monotonic(), 0.01)
-    tasks = []
-    excluded = 0
-    for j in range(len(points) - rneed + 1):
-        tasks.append((list(constraints), chosen0 | (1 << points[j]), excluded,
-                      incumbent_size, incumbent_mask, remaining))
-        excluded |= 1 << points[j]
-    best_size, best_mask = incumbent_size, incumbent_mask
-    nodes = 1
-    timed_out = False
-    workers = min(len(tasks), os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for size, mask, sub_nodes, sub_timeout in pool.map(_solve_subtree, tasks):
-            nodes += sub_nodes
-            timed_out = timed_out or sub_timeout
-            if size < best_size:
-                best_size, best_mask = size, mask
-    return best_size, best_mask, nodes, timed_out
-
-
 def sequence_with_reports(space: FiniteMetricSpace, k_max: int | None = None, *,
-                          budget_secs: float | None = DEFAULT_BUDGET_SECS,
-                          parallel: bool = False) -> tuple[DimensionSequence | None, list[SolveReport]]:
+                          budget_secs: float | None = DEFAULT_BUDGET_SECS) -> tuple[DimensionSequence | None, list[SolveReport]]:
     """Solve dimension levels k = 1..min(k_max, max_k).
 
     Returns the sequence plus per-level reports; the sequence is None when
@@ -572,7 +508,7 @@ def sequence_with_reports(space: FiniteMetricSpace, k_max: int | None = None, *,
     prev: int | None = None
     exact = True
     for k in range(1, horizon + 1):
-        report = dim_exact(space, k, budget_secs=budget_secs, prev_dim=prev, parallel=parallel)
+        report = dim_exact(space, k, budget_secs=budget_secs, prev_dim=prev)
         reports.append(report)
         if report.status != "optimal":
             exact = False
@@ -585,10 +521,9 @@ def sequence_with_reports(space: FiniteMetricSpace, k_max: int | None = None, *,
 
 
 def dimension_sequence(space: FiniteMetricSpace, k_max: int | None = None, *,
-                       budget_secs: float | None = DEFAULT_BUDGET_SECS,
-                       parallel: bool = False) -> DimensionSequence:
+                       budget_secs: float | None = DEFAULT_BUDGET_SECS) -> DimensionSequence:
     """Dimension sequence up to k_max (default: the feasibility cap max_k)."""
-    seq, reports = sequence_with_reports(space, k_max, budget_secs=budget_secs, parallel=parallel)
+    seq, reports = sequence_with_reports(space, k_max, budget_secs=budget_secs)
     if seq is None:
         bounded = reports[-1]
         raise KMetricError(

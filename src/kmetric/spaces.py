@@ -13,7 +13,7 @@ validation, bisectors and distinguisher masks use plain (and bit-parallel)
 integer code, while `dist`, messages and JSON keep the fractions.
 
 All types are immutable after construction and all operations are pure
-functions; spaces can be shared freely across parallel workers.
+functions; spaces can be shared freely.
 """
 
 from __future__ import annotations
@@ -207,6 +207,19 @@ class DistinguisherMap:
                     same |= mask & group_v.get(value, 0)
                 out.append(full ^ same)
         return tuple(out)
+
+    @cached_property
+    def reduced_masks(self) -> tuple[int, ...]:
+        """The distinct masks that contain no other mask, smallest first.
+
+        Under one coverage requirement for every pair, a set that meets a
+        mask k times also meets each of its supersets k times.
+        """
+        kept: list[int] = []
+        for m in sorted(set(self.masks), key=lambda m: (m.bit_count(), m)):
+            if not any(km & m == km for km in kept):
+                kept.append(m)
+        return tuple(kept)
 
     @cached_property
     def pairs(self) -> tuple[tuple[int, int], ...]:

@@ -20,7 +20,7 @@ from .randgen import (
     random_rational_metric,
     random_space,
 )
-from .solver import dim_exact, sequence_with_reports
+from .solver import ExtendedNat, dim_exact, sequence_with_reports
 from .spaces import FiniteMetricSpace, bisector, join, max_k, space_to_json_dict, truncate
 
 DEFAULT_ST_PAIRS = ((Fraction(1), Fraction(2)), (Fraction(1), Fraction(4)), (Fraction(2), Fraction(4)))
@@ -130,6 +130,14 @@ def _random_join_parts(rng: random.Random, n: int):
     return a, b
 
 
+def join_dimensions(a: FiniteMetricSpace, b: FiniteMetricSpace, joined: FiniteMetricSpace,
+                    t: Fraction, k: int, *,
+                    budget_secs: float | None = None) -> tuple[ExtendedNat, ...]:
+    """dim_k of a, of b, of a and b truncated at t, and of their join at t."""
+    return tuple(dim_exact(space, k, budget_secs=budget_secs).optimum
+                 for space in (a, b, truncate(a, t), truncate(b, t), joined))
+
+
 def join_suite(count: int = 50, n: int = 5, seed: int = 0, *,
                k_values: Sequence[int] = (1, 2),
                budget_secs: float | None = None) -> SuiteResult:
@@ -143,11 +151,7 @@ def join_suite(count: int = 50, n: int = 5, seed: int = 0, *,
         t = Fraction(rng.randint(1, 10), rng.randint(1, 2))
         joined = join(a, b, t)
         for k in k_values:
-            da = dim_exact(a, k, budget_secs=budget_secs).optimum
-            db = dim_exact(b, k, budget_secs=budget_secs).optimum
-            dat = dim_exact(truncate(a, t), k, budget_secs=budget_secs).optimum
-            dbt = dim_exact(truncate(b, t), k, budget_secs=budget_secs).optimum
-            dj = dim_exact(joined, k, budget_secs=budget_secs).optimum
+            da, db, dat, dbt, dj = join_dimensions(a, b, joined, t, k, budget_secs=budget_secs)
             if not (da + db <= dat + dbt and dat + dbt <= dj):
                 failures.append(_space_failure(
                     joined,

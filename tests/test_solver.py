@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -108,17 +109,23 @@ class TestDimExact:
             if is_k_generator(space, combo, 5).valid)
         assert report.basis.indices == first
 
-    @given(metric_spaces(max_n=7), st.integers(min_value=1, max_value=3))
+    @given(metric_spaces(max_n=9), st.integers(min_value=1, max_value=4),
+           st.randoms(use_true_random=False))
     @settings(max_examples=25)
-    def test_lex_min_basis_random(self, space, k):
-        report = dim_exact(space, k)
-        if not report.optimum.is_finite:
-            return
-        m = report.optimum.value
-        first = next(
-            combo for combo in itertools.combinations(range(space.n), m)
-            if is_k_generator(space, combo, k).valid)
-        assert report.basis.indices == first
+    def test_lex_min_basis_random(self, space, k, rnd):
+        # A relabeling moves the lex-min basis away from the search's first
+        # optimum, so both the witness shortcut and the probes get exercised.
+        perm = list(range(space.n))
+        rnd.shuffle(perm)
+        for candidate in (space, permute_space(space, perm)):
+            report = dim_exact(candidate, k)
+            if not report.optimum.is_finite:
+                return
+            m = report.optimum.value
+            first = next(
+                combo for combo in itertools.combinations(range(candidate.n), m)
+                if is_k_generator(candidate, combo, k).valid)
+            assert report.basis.indices == first
 
     @given(metric_spaces(max_n=8))
     @settings(max_examples=30)
@@ -142,11 +149,6 @@ class TestDimExact:
         low, high = report.bounds
         assert low <= 6 <= high
         assert is_k_generator(space, report.basis, 5).valid
-
-    def test_parallel_same_optimum(self):
-        space = make_space(parse_family("petersen"))
-        for k in (1, 3):
-            assert dim_exact(space, k, parallel=True).optimum == dim_exact(space, k).optimum
 
 
 class TestBruteforce:
@@ -211,6 +213,38 @@ class TestDimensionSequence:
         assert seq.get(8) == INFINITY
         with pytest.raises(KMetricError):
             seq.get(5)
+
+    def test_bases_grid_ball(self):
+        seq, reports = sequence_with_reports(make_space(parse_family("grid-ball:2,3")))
+        assert seq.as_values() == (3, 4, 6, 8, 10, 12, 16, 18)
+        assert [r.basis.indices for r in reports] == [
+            (0, 1, 24),
+            (0, 9, 15, 24),
+            (0, 1, 3, 21, 23, 24),
+            (0, 1, 3, 9, 15, 21, 23, 24),
+            (0, 1, 3, 4, 8, 16, 20, 21, 23, 24),
+            (0, 1, 3, 4, 8, 9, 15, 16, 20, 21, 23, 24),
+            (0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 20, 21, 22, 23, 24),
+            (0, 1, 2, 3, 4, 5, 8, 9, 10, 14, 15, 16, 19, 20, 21, 22, 23, 24),
+        ]
+
+    def test_bases_relabeled_ladder(self):
+        space = make_space(parse_family("ladder:4"))
+        perm = list(range(space.n))
+        random.Random(4).shuffle(perm)
+        seq, reports = sequence_with_reports(permute_space(space, perm))
+        assert seq.as_values() == (2, 4, 6, 8, 10, 12, 14, 16, 18)
+        assert [r.basis.indices for r in reports] == [
+            (4, 8),
+            (0, 1, 13, 15),
+            (0, 1, 2, 5, 13, 15),
+            (0, 1, 2, 3, 5, 13, 15, 17),
+            (0, 1, 2, 3, 4, 5, 8, 13, 15, 17),
+            (0, 1, 2, 3, 4, 5, 6, 7, 8, 13, 15, 17),
+            (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 13, 15, 17),
+            (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 14, 15, 17),
+            tuple(range(18)),
+        ]
 
     def test_get_values(self):
         seq = dimension_sequence(make_space(parse_family("complete:4")))
