@@ -10,6 +10,9 @@ Exit codes: 0 success, 2 input error, 3 budget exhausted with only bounds,
 
 Runs are reproducible: the same arguments and seed produce
 byte-identical JSON/CSV output, so timing never appears in the payload.
+An analyze run whose budget ran out while the lex-min basis was being
+chosen is not: it says so with `"basis_kind": "witness"` and a `note:`
+line on stderr.
 """
 
 from __future__ import annotations
@@ -162,6 +165,11 @@ def cmd_analyze(config: RunConfig) -> int:
             payload["bounds"] = list(report.bounds)
             lines.append(f"bounds: [{report.bounds[0]}, {report.bounds[1]}]")
             exit_code = EXIT_BUDGET
+        if report.basis_kind == "witness":
+            payload["basis_kind"] = report.basis_kind
+            print("note: the budget ran out while choosing the lexicographically smallest"
+                  " basis; the basis shown is optimal but may not be the smallest",
+                  file=sys.stderr)
         if report.basis is not None:
             certificate = is_k_generator(space, report.basis, config.k)
             payload["basis"] = list(report.basis.labels(space))

@@ -19,7 +19,8 @@ Search design (deterministic):
     plus one when solving a sequence level, a greedy packing of pairwise
     disjoint distinguisher sets, and a decomposition bound that solves
     support-disjoint constraint clusters exactly when their support is
-    small (memoized); the maximum of all applies;
+    small (memoized; one bit-parallel pass tests all subsets of the
+    support at once); the maximum of all applies;
   * a search is given a floor, a proven lower bound: a cover that small
     ends it, because nothing smaller exists.
 
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 from itertools import combinations
 from typing import Sequence
 
@@ -161,21 +162,10 @@ class SolveReport:
     elapsed: float
     status: str  # "optimal" (exact, possibly infinite) or "bounded" (budget ran out)
     bounds: tuple[int, int] | None = None  # (proven lower, incumbent) when bounded
-
-    def to_json_dict(self, include_timing: bool = True) -> dict:
-        out = {
-            "k": self.k,
-            "optimum": self.optimum.to_json(),
-            "basis": list(self.basis.indices) if self.basis is not None else None,
-            "lower_bound_trace": [[name, value] for name, value in self.lower_bound_trace],
-            "nodes_explored": self.nodes_explored,
-            "greedy_value": self.greedy_value,
-            "status": self.status,
-            "bounds": list(self.bounds) if self.bounds else None,
-        }
-        if include_timing:
-            out["elapsed"] = self.elapsed
-        return out
+    # "lex_min": the basis of an optimal report is the lexicographically
+    # smallest optimal set; "witness": the lex-min phase ran out of time and
+    # the basis is some optimal set.
+    basis_kind: str = "lex_min"
 
 
 def greedy_upper(space: FiniteMetricSpace, k: int) -> tuple[int, PointSet] | None:
@@ -244,16 +234,45 @@ def _packing_bound(residuals: Sequence[tuple[int, int]]) -> int:
     return total
 
 
-def _exact_cluster_min(members: tuple[tuple[int, int], ...], support: tuple[int, ...]) -> int:
-    """Minimum points meeting every (mask, need) constraint; support is small."""
-    for size in range(1, len(support) + 1):
-        for combo in combinations(support, size):
-            sm = 0
-            for x in combo:
-                sm |= 1 << x
-            if all((sm & m).bit_count() >= need for m, need in members):
-                return size
-    return len(support)
+@lru_cache(maxsize=None)
+def _subset_tables(size: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """The 2**size subsets of range(size) as the bits of one int: bit s
+    stands for the subset whose mask is s.
+
+    Returns (full, contains, by_size): every subset; contains[b], the
+    subsets holding point b; by_size[j], the subsets of j points.
+    """
+    full = (1 << (1 << size)) - 1
+    contains = []
+    by_size = [1]
+    for b in range(size):
+        half = 1 << b
+        # bit s holds b when s mod 2**(b+1) >= 2**b: one block of `half`
+        # ones in every period of 2 * half bits.
+        contains.append(full // ((1 << 2 * half) - 1) * (((1 << half) - 1) << half))
+        # adding b to a subset of j points gives one of j + 1 points, half higher
+        by_size = [without | (with_b << half)
+                   for without, with_b in zip(by_size + [0], [0] + by_size)]
+    return full, tuple(contains), tuple(by_size)
+
+
+def _exact_cluster_min(members: tuple[tuple[int, int], ...], size: int) -> int:
+    """Minimum points of range(size) meeting every (mask, need) constraint.
+
+    All subsets are tested at once, bit-parallel: layers[j] collects the
+    subsets that meet m at least j times, and `good` those that meet every
+    member.  The whole support meets every member, so some size is good.
+    """
+    full, contains, by_size = _subset_tables(size)
+    good = full
+    for m, need in members:
+        layers = [full] + [0] * need
+        for b in _bits(m):
+            holds_b = contains[b]
+            for j in range(need, 0, -1):
+                layers[j] |= layers[j - 1] & holds_b
+        good &= layers[need]
+    return next(j for j, subsets in enumerate(by_size) if good & subsets)
 
 
 def _cluster_bound(residuals: Sequence[tuple[int, int]], cache: dict) -> int:
@@ -291,7 +310,7 @@ def _cluster_bound(residuals: Sequence[tuple[int, int]], cache: dict) -> int:
             key = tuple(sorted(set(normalized)))
             value = cache.get(key)
             if value is None:
-                value = _exact_cluster_min(key, tuple(range(len(support))))
+                value = _exact_cluster_min(key, len(support))
                 cache[key] = value
             total += value
         else:
@@ -389,7 +408,7 @@ class _Search:
 
 
 def _lex_min_cover(constraints: Sequence[tuple[int, int]], target: int, witness: int,
-                   deadline: float | None, cache: dict) -> tuple[int, int]:
+                   deadline: float | None, cache: dict) -> tuple[int, int, bool]:
     """The lexicographically smallest cover of `target` points, the optimum.
 
     Fix-and-probe: the lowest undecided point x that could still help
@@ -401,8 +420,9 @@ def _lex_min_cover(constraints: Sequence[tuple[int, int]], target: int, witness:
     witness.  A point outside every unmet constraint is in no optimal
     cover: dropping it would leave a smaller one.
 
-    Returns (cover, nodes).  If the deadline passes, the cover is the
-    current witness: optimal, but not necessarily lexicographically first.
+    Returns (cover, nodes, finished).  If the deadline passes, finished is
+    False and the cover is the current witness: optimal, but not
+    necessarily lexicographically first.
     """
     fixed = rejected = 0
     nodes = 0
@@ -413,7 +433,7 @@ def _lex_min_cover(constraints: Sequence[tuple[int, int]], target: int, witness:
                 support |= mask
         support &= ~(fixed | rejected)
         if not support:
-            return fixed, nodes
+            return fixed, nodes, True
         x = support & -support
         if witness & x:
             fixed |= x
@@ -422,7 +442,7 @@ def _lex_min_cover(constraints: Sequence[tuple[int, int]], target: int, witness:
         try:
             probe.run(fixed | x, rejected)
         except _BudgetExceeded:
-            return witness, nodes + probe.nodes
+            return witness, nodes + probe.nodes, False
         nodes += probe.nodes
         if probe.best_size <= target:
             fixed |= x
@@ -445,7 +465,8 @@ def dim_exact(space: FiniteMetricSpace, k: int, *, budget_secs: float | None = D
     proven (lower, incumbent) interval instead of an exact optimum.  If
     the budget runs out only during the lex-min basis reconstruction the
     optimum is still exact and some optimal basis is returned, just not
-    necessarily the lexicographically smallest one.
+    necessarily the lexicographically smallest one; `basis_kind` is then
+    "witness".
     """
     if k < 1:
         raise NonpositiveParameter("k", k)
@@ -485,12 +506,13 @@ def dim_exact(space: FiniteMetricSpace, k: int, *, budget_secs: float | None = D
                 greedy_value=greedy_value, elapsed=time.monotonic() - start,
                 status="bounded", bounds=(max(root_lb, k), search.best_size),
             )
-    basis_mask, lex_nodes = _lex_min_cover(
+    basis_mask, lex_nodes, lex_finished = _lex_min_cover(
         constraints, search.best_size, search.best_mask, deadline, cache)
     return SolveReport(
         k=k, optimum=ExtendedNat(search.best_size), basis=PointSet.from_mask(basis_mask),
         lower_bound_trace=tuple(trace), nodes_explored=search.nodes + lex_nodes,
         greedy_value=greedy_value, elapsed=time.monotonic() - start, status="optimal",
+        basis_kind="lex_min" if lex_finished else "witness",
     )
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from kmetric import cli
+from kmetric import cli, solver
 from kmetric.verify import SuiteResult
 
 
@@ -71,6 +71,38 @@ class TestAnalyze:
         code, out = run(capsys, "analyze", "--input", str(path), "--k", "1", "--format", "json")
         assert code == 0
         assert json.loads(out)["dim"] == 2
+
+    @pytest.mark.parametrize("family, dim, nodes, trace, basis", [
+        ("grid-ball:2,5", 3, 248, [["requirement", 1], ["packing", 2], ["clusters", 2]],
+         ["(-5,0)", "(-4,-1)", "(5,0)"]),
+        ("petersen", 3, 6, [["requirement", 1], ["packing", 1], ["clusters", 3]],
+         ["u1", "u3", "v4"]),
+        ("free-ball:2,3", 24, 0, [["requirement", 1], ["packing", 12], ["clusters", 24]], None),
+    ])
+    def test_bound_values_and_node_counts(self, capsys, family, dim, nodes, trace, basis):
+        # The cluster bound decides these node counts: a weaker or different
+        # bound changes them even when the optimum stays put.
+        code, out = run(capsys, "analyze", "--family", family, "--k", "1", "--format", "json")
+        assert code == 0
+        data = json.loads(out)
+        assert (data["dim"], data["nodes"], data["lower_bound_trace"]) == (dim, nodes, trace)
+        if basis is not None:
+            assert data["basis"] == basis
+        assert "basis_kind" not in data
+
+    def test_lex_timeout_reports_witness(self, capsys, monkeypatch):
+        monkeypatch.setattr(solver, "_lex_min_cover",
+                            lambda constraints, target, witness, deadline, cache: (witness, 0, False))
+        code = cli.main(["analyze", "--family", "petersen", "--k", "1", "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 0
+        data = json.loads(captured.out)
+        assert data["status"] == "optimal"
+        assert data["basis_kind"] == "witness"
+        assert data["certificate"]["valid"] is True
+        assert len(data["basis"]) == data["dim"] == 3
+        note_lines = captured.err.splitlines()
+        assert len(note_lines) == 1 and note_lines[0].startswith("note: ")
 
 
 class TestSequence:

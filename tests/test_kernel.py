@@ -1,10 +1,12 @@
 """The integer kernel against the plain Fraction definitions it replaces.
 
 Validation, distinguisher masks, the greedy and the random rational
-metrics run on common-denominator integers and bitsets.  Each test here
-keeps the straightforward Fraction version as a reference and requires
+metrics run on common-denominator integers and bitsets, and the exact
+cluster bound tests all subsets of a cluster's support at once.  Each
+test here keeps the straightforward version as a reference and requires
 the same result: the same exception (class, indices, message) for bad
-input, the same masks, the same greedy (value, set), the same spaces.
+input, the same masks, the same greedy (value, set), the same spaces, the
+same cluster minimum.
 """
 
 import random
@@ -25,7 +27,7 @@ from kmetric.errors import (
     ZeroOffDiagonal,
 )
 from kmetric.randgen import random_rational_metric
-from kmetric.solver import greedy_upper
+from kmetric.solver import COMPONENT_SUPPORT_CAP, _exact_cluster_min, _subset_tables, greedy_upper
 from kmetric.spaces import (
     PointSet,
     TwoPointSpaceWarning,
@@ -114,7 +116,34 @@ def reference_rational_metric(n, rng, max_weight=8):
     return d
 
 
+def reference_cluster_min(members, size):
+    """The subset scan by increasing size: the size of the first subset of
+    range(size) meeting every (mask, need) member."""
+    for count in range(1, size + 1):
+        for combo in combinations(range(size), count):
+            sm = 0
+            for x in combo:
+                sm |= 1 << x
+            if all((sm & m).bit_count() >= need for m, need in members):
+                return count
+    return size
+
+
 # --- strategies ---------------------------------------------------------------
+
+@st.composite
+def clusters(draw):
+    """(members, size): 1 to 64 members over at most 12 points, masks drawn
+    from a small pool so that some repeat, each need in 1..|mask|."""
+    size = draw(st.integers(min_value=1, max_value=COMPONENT_SUPPORT_CAP))
+    count = draw(st.one_of(st.just(1), st.just(64), st.integers(min_value=1, max_value=64)))
+    pool = draw(st.lists(st.integers(min_value=1, max_value=(1 << size) - 1), min_size=1, max_size=count))
+    members = []
+    for _ in range(count):
+        mask = draw(st.sampled_from(pool))
+        members.append((mask, draw(st.integers(min_value=1, max_value=mask.bit_count()))))
+    return tuple(members), size
+
 
 @st.composite
 def line_metrics(draw, min_n=2, max_n=7):
@@ -235,6 +264,24 @@ class TestGreedy:
     def test_same_value_and_set_at_every_k(self, space):
         for k in range(1, max_k(space) + 2):
             assert greedy_upper(space, k) == reference_greedy(space, k)
+
+
+class TestClusterMin:
+    @settings(max_examples=200)
+    @given(clusters())
+    def test_same_minimum_as_the_subset_scan(self, cluster):
+        members, size = cluster
+        assert _exact_cluster_min(members, size) == reference_cluster_min(members, size)
+
+    def test_tables_match_their_definition(self):
+        for size in range(COMPONENT_SUPPORT_CAP + 1):
+            full, contains, by_size = _subset_tables(size)
+            assert full == (1 << (1 << size)) - 1
+            assert len(contains) == size and len(by_size) == size + 1
+            for s in range(1 << size):
+                assert [contains[b] >> s & 1 for b in range(size)] == [s >> b & 1 for b in range(size)]
+                assert [by_size[j] >> s & 1 for j in range(size + 1)] == [
+                    int(s.bit_count() == j) for j in range(size + 1)]
 
 
 class TestRandomRationalMetric:

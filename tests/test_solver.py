@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from kmetric.solver import (
     greedy_upper,
     sequence_with_reports,
 )
-from kmetric.spaces import is_k_generator, max_k, permute_space
+from kmetric.spaces import all_distinguishers, is_k_generator, max_k, permute_space
 
 from conftest import metric_spaces
 
@@ -140,6 +141,19 @@ class TestDimExact:
         rnd.shuffle(perm)
         k = rnd.randint(1, max(1, max_k(space)))
         assert dim_exact(space, k).optimum == dim_exact(permute_space(space, perm), k).optimum
+
+    def test_lex_min_cover_cut_by_the_deadline_keeps_the_witness(self):
+        # On path:3 at k=1 the one reduced constraint is {0, 2}; the witness
+        # {2} is optimal but not lex-min, so point 0 needs a probe.
+        space = make_space(parse_family("path:3"))
+        constraints = [(m, 1) for m in all_distinguishers(space).reduced_masks]
+        assert constraints == [(0b101, 1)]
+        cover, _, finished = solver._lex_min_cover(constraints, 1, 0b100, None, {})
+        assert (cover, finished) == (0b001, True)
+        cover, _, finished = solver._lex_min_cover(
+            constraints, 1, 0b100, time.monotonic() - 1.0, {})
+        assert (cover, finished) == (0b100, False)
+        assert dim_exact(space, 1).basis_kind == "lex_min"
 
     def test_bounded_on_zero_budget(self, monkeypatch):
         monkeypatch.setattr(solver, "COMPONENT_SUPPORT_CAP", 0)
