@@ -34,10 +34,13 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-radius", type=int, default=4)
     args = parser.parse_args()
-    radii = tuple(range(1, args.max_radius + 1))
-    show("free_ball", [r for r in radii if r <= 3] or (1, 2), rank=2)
-    show("grid_ball", [r for r in radii if r >= 2] or (2, 3), rank=2)
-    show("ladder", tuple(range(2, args.max_radius + 3)))
+    if args.max_radius < 1:
+        parser.error("--max-radius must be at least 1")
+    # Each study needs at least two radii.  Free-group balls stop at
+    # radius 3 and lattice balls start at 2, so small values are widened.
+    show("free_ball", range(1, min(max(args.max_radius, 2), 3) + 1), rank=2)
+    show("grid_ball", range(2, max(args.max_radius, 3) + 1), rank=2)
+    show("ladder", range(2, args.max_radius + 3))
     return 0
 
 

@@ -12,6 +12,11 @@ one L are equal, or ordered, exactly when the fractions are, so
 validation, bisectors and distinguisher masks use plain (and bit-parallel)
 integer code, while `dist`, messages and JSON keep the fractions.
 
+Every space is validated in full when it is built.  Two things keep that
+cheap: `build_space` converts each distinct int or str entry once, and
+the triangle check tests all n*n inequalities for one point at a time as
+byte fields of one big integer (`_triangle_scan`).
+
 All types are immutable after construction and all operations are pure
 functions; spaces can be shared freely.
 """
@@ -25,7 +30,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from operator import sub
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -226,10 +230,6 @@ class DistinguisherMap:
         return tuple(combinations(range(len(self.rows)), 2))
 
     @cached_property
-    def sets(self) -> tuple[PointSet, ...]:
-        return tuple(PointSet.from_mask(m) for m in self.masks)
-
-    @cached_property
     def columns(self) -> tuple[int, ...]:
         """Per point, the mask over pair indices of the pairs it distinguishes."""
         n = len(self.rows)
@@ -279,6 +279,13 @@ def build_space(labels, dist, meta=None, *, quantize_digits: int = DEFAULT_QUANT
     Checks every invariant: distinct labels, zero diagonal, positive
     symmetric off-diagonal entries, and the triangle inequality for all
     triples.  Float entries are quantized (recorded in meta).
+
+    Entries whose type is exactly int or str are converted once per
+    distinct value within the call; every other entry goes through
+    `as_rational` on its own.  The triangle inequality is checked by the
+    byte-field kernel `_triangle_scan`, which finds the same first (i, j)
+    as a row-major scan of all triples; the error then names the first k
+    in fractions.
     """
     labels = tuple(str(lab) for lab in labels)
     n = len(labels)
@@ -295,12 +302,23 @@ def build_space(labels, dist, meta=None, *, quantize_digits: int = DEFAULT_QUANT
     if len(rows) != n or any(len(row) != n for row in rows):
         raise FormatError(f"distance matrix must be {n}x{n}")
     quantized = False
+    # Graph metrics repeat a few ints and a symmetric JSON matrix every
+    # string.  No other type is memoised: hashing a Fraction costs more
+    # than it saves, True must not hit the entry of 1, and floats set
+    # `quantized`.
+    memo: dict[int | str, Fraction] = {}
     matrix: list[tuple[Fraction, ...]] = []
     for row in rows:
         cooked = []
         for entry in row:
-            value, was_quantized = as_rational(entry, quantize_digits)
-            quantized = quantized or was_quantized
+            kind = type(entry)
+            if kind is int or kind is str:
+                value = memo.get(entry)
+                if value is None:
+                    value = memo[entry] = as_rational(entry, quantize_digits)[0]
+            else:
+                value, was_quantized = as_rational(entry, quantize_digits)
+                quantized = quantized or was_quantized
             cooked.append(value)
         matrix.append(tuple(cooked))
     d = tuple(matrix)
@@ -316,17 +334,43 @@ def build_space(labels, dist, meta=None, *, quantize_digits: int = DEFAULT_QUANT
                 raise NegativeDistance(i, j, d[i][j])
             if zi[j] == 0:
                 raise ZeroOffDiagonal(i, j)
-    # d[i][k] <= d[i][j] + d[j][k] for every k  <=>  max_k (z_ik - z_jk) <= z_ij.
-    for i, zi in enumerate(z):
-        for j, zj in enumerate(z):
-            if j != i and max(map(sub, zi, zj)) > zi[j]:
-                _raise_triangle(d, i, j)
+    first = _triangle_scan(z)
+    if first is not None:
+        _raise_triangle(d, *first)
     meta = dict(meta or {})
     if quantized:
         meta.setdefault("quantization_digits", quantize_digits)
     space = FiniteMetricSpace(labels, d, meta)
     vars(space)["_int_dist"] = z  # fill the cached_property; z is already at hand
     return space
+
+
+def _triangle_scan(z) -> tuple[int, int] | None:
+    """The first (i, j) in row-major order with z[i][k] > z[i][j] + z[j][k]
+    for some k, or None.  `z` is non-negative with a zero diagonal.
+
+    Byte-field kernel: for one i, the n*n cells (j, k) are little-endian
+    fields of W bytes in one big int, and a field holds
+    2**(8W-1) + z[j][k] + z[i][j] - z[i][k].  W is the least byte count
+    with 2**(8W-1) > 2 * max(z), so every field stays in [0, 2**8W): no
+    carry or borrow crosses a field, and the top bit of a field is clear
+    exactly where the inequality fails.  One
+    pass of big-int arithmetic per i tests all n*n cells; the lowest
+    cleared top bit is the first j.
+    """
+    n = len(z)
+    width = ((2 * max(map(max, z))).bit_length() + 8) // 8
+    guard = int.from_bytes((bytes(width - 1) + b"\x80") * (n * n), "little")  # each field's top bit
+    rows = [[x.to_bytes(width, "little") for x in row] for row in z]
+    flat = [b"".join(row) for row in rows]
+    plus = int.from_bytes(b"".join(flat), "little") | guard  # z[j][k] + 2**(8W-1)
+    for i, row in enumerate(rows):
+        col = int.from_bytes(b"".join([cell * n for cell in row]), "little")  # z[i][j]
+        rep = int.from_bytes(flat[i] * n, "little")  # z[i][k]
+        bad = guard & ~(plus + col - rep)
+        if bad:
+            return i, ((bad & -bad).bit_length() - 1) // (8 * width * n)
+    return None
 
 
 def _raise_triangle(d, i: int, j: int):
@@ -470,7 +514,14 @@ def space_from_json_dict(data: dict, *, quantize_digits: int = DEFAULT_QUANTIZE_
         distances = data["distances"]
     except (TypeError, KeyError) as exc:
         raise FormatError("space JSON needs 'labels' and 'distances'") from exc
-    return build_space(labels, distances, meta=data.get("meta"), quantize_digits=quantize_digits)
+    meta = data.get("meta")
+    if not isinstance(labels, list):
+        raise FormatError("space JSON 'labels' must be a list")
+    if not isinstance(distances, list) or not all(isinstance(row, list) for row in distances):
+        raise FormatError("space JSON 'distances' must be a list of lists")
+    if meta is not None and not isinstance(meta, dict):
+        raise FormatError("space JSON 'meta' must be an object")
+    return build_space(labels, distances, meta=meta, quantize_digits=quantize_digits)
 
 
 def dump_space(space: FiniteMetricSpace) -> str:
@@ -480,6 +531,8 @@ def dump_space(space: FiniteMetricSpace) -> str:
 def load_space(text: str, *, quantize_digits: int = DEFAULT_QUANTIZE_DIGITS) -> FiniteMetricSpace:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and integers over the interpreter's
+        # digit limit; RecursionError, nesting deeper than the decoder's stack.
         raise FormatError(f"invalid JSON: {exc}") from exc
     return space_from_json_dict(data, quantize_digits=quantize_digits)

@@ -260,6 +260,27 @@ class TestErrors:
         assert cli.main(["analyze", "--input", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: distance entry")
 
+    @pytest.mark.parametrize("fields", [
+        '"labels": 5, "distances": [[0, 1], [1, 0]]',
+        '"labels": ["a", "b"], "distances": 5',
+        '"labels": ["a", "b"], "distances": [5, 6]',
+        '"labels": ["a", "b"], "distances": [[0, 1], [1, 0]], "meta": [1]',
+    ], ids=["labels", "distances", "row", "meta"])
+    def test_malformed_space_json(self, capsys, tmp_path, fields):
+        path = tmp_path / "space.json"
+        path.write_text("{" + fields + "}")
+        assert cli.main(["analyze", "--input", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: space JSON")
+
+    @pytest.mark.parametrize("text", ['{"labels": [' + "1" * 5000 + "]}", "{" + '"a": {' * 100_000],
+                             ids=["long-int", "deep"])
+    def test_json_the_decoder_cannot_take(self, capsys, tmp_path, text):
+        # An integer past the interpreter's digit limit; nesting past its stack.
+        path = tmp_path / "space.json"
+        path.write_text(text)
+        assert cli.main(["analyze", "--input", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: invalid JSON")
+
     def test_non_utf8_file(self, capsys, tmp_path):
         path = tmp_path / "graph.txt"
         path.write_bytes(b"a b\n\xff\xfe c\n")

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -214,6 +218,21 @@ class TestDivergenceEvidence:
             divergence_evidence("free_ball", (2,))
         with pytest.raises(BadFamilyParams):
             divergence_evidence("grid_ball", (2, 3), rank=1)
+
+    @pytest.mark.parametrize("max_radius, code", [("2", 0), ("0", 2)])
+    def test_study_script(self, max_radius, code):
+        # Every --max-radius >= 1 gives each family at least two radii;
+        # smaller values are a usage error, not a traceback.
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        proc = subprocess.run([sys.executable, str(root / "scripts" / "divergence_study.py"),
+                               "--max-radius", max_radius],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code
+        assert "Traceback" not in proc.stderr
+        if code == 0:
+            blocks = [block.splitlines() for block in proc.stdout.strip().split("\n\n")]
+            assert [len(block) - 1 for block in blocks] == [2, 2, 3]  # radii per family
 
 
 class TestLollipopBases:

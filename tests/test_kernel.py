@@ -13,6 +13,7 @@ import random
 import warnings
 from fractions import Fraction
 from itertools import combinations
+from operator import sub
 
 import hypothesis.strategies as st
 import pytest
@@ -31,6 +32,7 @@ from kmetric.solver import COMPONENT_SUPPORT_CAP, _exact_cluster_min, _subset_ta
 from kmetric.spaces import (
     PointSet,
     TwoPointSpaceWarning,
+    _triangle_scan,
     all_distinguishers,
     as_rational,
     bisector,
@@ -64,6 +66,16 @@ def reference_scan(d):
             for k in range(n):
                 if d[i][k] > d[i][j] + d[j][k]:
                     return TriangleViolation(i, j, k, d[i][k], d[i][j] + d[j][k])
+    return None
+
+
+def reference_triangle(z):
+    """The integer row scan: the first (i, j), row-major, with some
+    z[i][k] > z[i][j] + z[j][k], or None."""
+    for i, zi in enumerate(z):
+        for j, zj in enumerate(z):
+            if j != i and max(map(sub, zi, zj)) > zi[j]:
+                return i, j
     return None
 
 
@@ -155,14 +167,36 @@ def line_metrics(draw, min_n=2, max_n=7):
     return [[abs(a - b) for b in points] for a in points]
 
 
+# Values next to the edges of the kernel's field width W (bytes per cell,
+# from 2 * max entry): W grows past 63, 2**14 - 1 and 2**22 - 1, and one
+# byte holds up to 255.  Around 10**13 is the scale of sqrt-primes inputs.
+EDGE_VALUES = (1, 2, 3, 63, 64, 127, 128, 255, 256, 2**14 - 1, 2**14,
+               2**16 - 1, 2**16 + 1, 2**22 - 1, 2**22, 10**13 - 1, 10**13)
+
+
+@st.composite
+def edge_metrics(draw, max_n=16):
+    """Integer metrics with entries in [ceil(M/2), M] for an edge value M."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    top = draw(st.sampled_from(EDGE_VALUES))
+    entries = st.one_of(st.sampled_from([top, top - 1, (top + 1) // 2]),
+                        st.integers(min_value=(top + 1) // 2, max_value=top))
+    d = [[Fraction(0)] * n for _ in range(n)]
+    for u, v in combinations(range(n), 2):
+        d[u][v] = d[v][u] = Fraction(max(draw(entries), 1))
+    return d
+
+
 @st.composite
 def faulty_matrices(draw):
     """A metric with one planted fault (or none), entries as ints, strings, floats or Fractions."""
-    source = draw(st.sampled_from(["line", "random"]))
+    source = draw(st.sampled_from(["line", "random", "edge"]))
     if source == "line":
         d = draw(line_metrics())
+    elif source == "edge":
+        d = draw(edge_metrics())
     else:
-        n = draw(st.integers(min_value=2, max_value=7))
+        n = draw(st.integers(min_value=2, max_value=16))
         seed = draw(st.integers(min_value=0, max_value=2**20))
         d = [list(row) for row in random_rational_metric(n, random.Random(seed)).dist]
     n = len(d)
@@ -184,8 +218,10 @@ def faulty_matrices(draw):
         d[i][j] = d[j][i] = d[i][j] + max(max(row) for row in d) + delta
     elif fault == "perturb":
         d[i][j] = d[j][i] = max(d[i][j] + draw(st.sampled_from([-1, 1])) * delta, Fraction(1, 5))
-    style = draw(st.sampled_from(["fraction", "str", "float", "mixed"]))
-    if style == "str":
+    style = draw(st.sampled_from(["fraction", "int", "str", "float", "mixed"]))
+    if style == "int":
+        d = [[int(x) if x.denominator == 1 else x for x in row] for row in d]
+    elif style == "str":
         d = [[str(x) for x in row] for row in d]
     elif style == "float":
         d = [[float(x) for x in row] for row in d]
@@ -206,7 +242,7 @@ def outcome(fn):
 # --- tests --------------------------------------------------------------------
 
 class TestValidation:
-    @settings(max_examples=150)
+    @settings(max_examples=300)
     @given(faulty_matrices())
     def test_same_error_as_the_fraction_scan(self, d):
         labels = [f"p{i}" for i in range(len(d))]
@@ -216,6 +252,42 @@ class TestValidation:
             got = outcome(lambda: build_space(labels, d))
         want = reference_scan(exact)
         assert got == (None if want is None else (type(want), getattr(want, "indices", None), str(want)))
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_triangle_scan_finds_the_first_pair(self, data):
+        # Entries from a small pool of edge values, their doubles and their
+        # neighbours, so that violations and exact ties (a field landing on
+        # its top bit) are both common.  Any non-negative matrix will do.
+        n = data.draw(st.integers(min_value=1, max_value=16))
+        base = st.one_of(st.sampled_from(EDGE_VALUES), st.integers(min_value=0, max_value=10**13))
+        pool = data.draw(st.lists(base.flatmap(lambda v: st.sampled_from([v, 2 * v, 2 * v + 1, max(v - 1, 0)])),
+                                  min_size=1, max_size=4))
+        picks = data.draw(st.lists(st.sampled_from(pool), min_size=n * n, max_size=n * n))
+        z = [[0 if r == c else picks[r * n + c] for c in range(n)] for r in range(n)]
+        if data.draw(st.booleans()):
+            z = [[z[min(r, c)][max(r, c)] for c in range(n)] for r in range(n)]
+        assert _triangle_scan(z) == reference_triangle(z)
+
+    def test_triangle_scan_at_the_field_width_edges(self):
+        # (i, j, k) = (0, 1, 2) with z[0][2] = z[0][1] + z[1][2] + excess;
+        # the largest entry sits on each edge value in turn.
+        for top in EDGE_VALUES[3:]:
+            for excess in (0, 1):
+                a = (top - excess) // 2
+                z = [[0, a, top], [a, 0, top - excess - a], [top, top - excess - a, 0]]
+                assert _triangle_scan(z) == reference_triangle(z) == ((0, 1) if excess else None)
+
+    def test_entry_memo_keeps_the_rules_of_each_type(self):
+        # 1 and "1" are converted first, so a memoised True, 1.0 or [1]
+        # would be accepted silently or lose the quantization record.
+        labels = ["a", "b", "c"]
+        for entry in (True, [1]):
+            with pytest.raises(FormatError):
+                build_space(labels, [[0, 1, "1"], [1, 0, "1"], ["1", entry, 0]])
+        space = build_space(labels, [[0, 1, "1"], [1, 0, "1"], ["1", 1.0, 0]])
+        assert space.meta["quantization_digits"] == 12
+        assert space.dist == build_space(labels, [[0, 1, 1], [1, 0, 1], [1, 1, 0]]).dist
 
     @given(line_metrics(min_n=3))
     def test_integer_rows_keep_equality_and_order(self, d):
@@ -234,10 +306,9 @@ class TestMasks:
         assert dmap.masks == reference_masks(space)
         assert dmap.pairs == tuple(combinations(range(space.n), 2))
         assert len(dmap) == len(dmap.pairs)
-        assert dmap.sets == tuple(PointSet.from_mask(m) for m in dmap.masks)
         for p, (u, v) in enumerate(dmap.pairs):
-            assert dmap.get(v, u) == dmap.sets[p]
-            assert distinguishers(space, u, v) == dmap.sets[p]
+            assert dmap.get(v, u) == PointSet.from_mask(dmap.masks[p])
+            assert distinguishers(space, u, v) == PointSet.from_mask(dmap.masks[p])
             du, dv = space.dist[u], space.dist[v]
             assert bisector(space, u, v).indices == tuple(x for x in range(space.n) if du[x] == dv[x])
 

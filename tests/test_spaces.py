@@ -1,15 +1,17 @@
 import json
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from kmetric.errors import (
     AsymmetricDistance,
     DuplicateLabel,
     FormatError,
+    KMetricError,
     LabelCollision,
     NegativeDistance,
     NonpositiveParameter,
@@ -18,6 +20,7 @@ from kmetric.errors import (
     ZeroOffDiagonal,
 )
 from kmetric.families import make_space, parse_family
+from kmetric.graphs import parse_edge_list, shortest_path_metric
 from kmetric.spaces import (
     PointSet,
     TwoPointSpaceWarning,
@@ -164,8 +167,8 @@ class TestDistinguisherMap:
         space = discrete(4)
         dmap = all_distinguishers(space)
         assert len(dmap) == 6
-        for (u, v), s in zip(dmap.pairs, dmap.sets):
-            assert s.indices == (u, v)
+        for u, v in dmap.pairs:
+            assert dmap.get(u, v).indices == (u, v)
 
     def test_path3_sets(self):
         space = make_space(parse_family("path:3"))
@@ -354,3 +357,73 @@ class TestPointSet:
             PointSet((2, 1))
         with pytest.raises(FormatError):
             PointSet((1, 1))
+
+
+# --- ingest fuzzing -----------------------------------------------------------
+
+# Every kind of value a JSON decoder hands over, plus the numbers and
+# strings that stress entry conversion: huge ints, NaN and infinities,
+# "nan"/"1e999" and other strings Fraction may or may not parse.
+json_scalars = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(), st.integers(min_value=-10**60, max_value=10**60),
+    st.floats(),
+    st.sampled_from(["nan", "1e999", "-1e999", "inf", "1/0", "3/2", "2/-3", "1.5", "1", "0", "", " 2 "]),
+    st.text(max_size=4),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=10,
+)
+
+
+@st.composite
+def space_documents(draw):
+    """A valid space document with some entries, a row, a label and some
+    top-level fields replaced by arbitrary JSON."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    index = st.integers(min_value=0, max_value=n - 1)
+    labels = [f"p{i}" for i in range(n)]
+    dist = [[0 if r == c else 1 for c in range(n)] for r in range(n)]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        i, j, value = draw(index), draw(index), draw(json_values)
+        dist[i][j] = value
+        if draw(st.booleans()):
+            dist[j][i] = value  # symmetric, so the entry reaches the later checks
+    if draw(st.booleans()):
+        dist[draw(index)] = draw(json_values)
+    if draw(st.booleans()):
+        labels[draw(index)] = draw(json_values)
+    doc = {"labels": labels, "distances": dist, "meta": {}}
+    for key in draw(st.lists(st.sampled_from(sorted(doc)), unique=True, max_size=2)):
+        if draw(st.booleans()):
+            doc[key] = draw(json_values)
+        else:
+            del doc[key]
+    return doc
+
+
+def ingest(fn):
+    """Run one ingest call; a KMetricError is a clean rejection, anything else escapes."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TwoPointSpaceWarning)
+        try:
+            fn()
+        except KMetricError:
+            pass
+
+
+class TestIngestFuzz:
+    @settings(max_examples=300)
+    @given(st.one_of(space_documents(), json_values))
+    def test_space_json_raises_only_kmetric_errors(self, doc):
+        ingest(lambda: load_space(json.dumps(doc)))
+
+    @settings(max_examples=200)
+    @given(st.lists(st.one_of(
+        st.lists(st.sampled_from(["a", "b", "c", "d", "#", "vertices:", "x#y"]), max_size=4).map(" ".join),
+        st.text(max_size=8),
+    ), max_size=8).map("\n".join))
+    def test_edge_lists_raise_only_kmetric_errors(self, text):
+        ingest(lambda: shortest_path_metric(parse_edge_list(text)))
