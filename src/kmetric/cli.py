@@ -310,10 +310,9 @@ def cmd_join(config: RunConfig) -> int:
     t = Fraction(config.t)
     joined = join_spaces(space_a, space_b, t)
     ks = [config.k] if config.k is not None else list(range(1, (config.k_max or 1) + 1))
-    budget = config.budget()
+    rows = join_dimensions(space_a, space_b, joined, t, ks, budget_secs=config.budget())
     table = []
-    for k in ks:
-        da, db, dat, dbt, dj = join_dimensions(space_a, space_b, joined, t, k, budget_secs=budget)
+    for k, (da, db, dat, dbt, dj) in zip(ks, rows):
         total = da + db
         relation = "=" if total == dj else ("<" if total < dj else ">")
         table.append({

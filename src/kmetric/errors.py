@@ -2,6 +2,29 @@
 
 from __future__ import annotations
 
+import math
+
+
+def _digit_count(x: int) -> int:
+    """Decimal digits of |x|, without converting it to str."""
+    x = abs(x)
+    count = max(1, int((x.bit_length() - 1) * math.log10(2)))  # at most the true count
+    while x >= 10 ** count:
+        count += 1
+    return count
+
+
+def format_distance(value) -> str:
+    """`str(value)`, or a short form naming the size of a fraction with more
+    digits than the interpreter converts to str."""
+    try:
+        return str(value)
+    except ValueError:
+        size = f"{_digit_count(value.numerator)}-digit numerator"
+        if value.denominator != 1:
+            size += f" and {_digit_count(value.denominator)}-digit denominator"
+        return f"<{'negative ' if value < 0 else ''}fraction with {size}>"
+
 
 class KMetricError(Exception):
     """Base class for all toolkit errors."""
@@ -19,13 +42,13 @@ class DuplicateLabel(KMetricError):
 
 class AsymmetricDistance(KMetricError):
     def __init__(self, i: int, j: int, dij, dji):
-        super().__init__(f"d[{i}][{j}]={dij} != d[{j}][{i}]={dji}")
+        super().__init__(f"d[{i}][{j}]={format_distance(dij)} != d[{j}][{i}]={format_distance(dji)}")
         self.indices = (i, j)
 
 
 class NegativeDistance(KMetricError):
     def __init__(self, i: int, j: int, value):
-        super().__init__(f"d[{i}][{j}]={value} is negative")
+        super().__init__(f"d[{i}][{j}]={format_distance(value)} is negative")
         self.indices = (i, j)
 
 
@@ -37,7 +60,8 @@ class ZeroOffDiagonal(KMetricError):
 
 class TriangleViolation(KMetricError):
     def __init__(self, i: int, j: int, k: int, direct, detour):
-        super().__init__(f"d[{i}][{k}]={direct} > d[{i}][{j}]+d[{j}][{k}]={detour}")
+        super().__init__(
+            f"d[{i}][{k}]={format_distance(direct)} > d[{i}][{j}]+d[{j}][{k}]={format_distance(detour)}")
         self.indices = (i, j, k)
 
 

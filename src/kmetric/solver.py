@@ -21,14 +21,21 @@ Search design (deterministic):
     support-disjoint constraint clusters exactly when their support is
     small (memoized; one bit-parallel pass tests all subsets of the
     support at once); the maximum of all applies;
+  * when every cluster of a node's residual constraints was solved
+    exactly, the node is closed: its best cover is the union of the
+    clusters' lex-min covers, and nothing is branched on;
   * a search is given a floor, a proven lower bound: a cover that small
-    ends it, because nothing smaller exists.
+    ends it, because nothing smaller exists;
+  * each node filters its parent's residual constraints, not all of them.
 
-After the optimum is proven, the reported basis is the lexicographically
-smallest optimal set, so repeated runs are byte-identical.  It is found by
-fix-and-probe on the same search: points are decided in index order, and
-a point is kept when an optimal cover still exists with it and the points
-kept so far, and without the points turned down so far.
+The reported basis is the lexicographically smallest optimal set, so
+repeated runs are byte-identical.  Small instances, whose clusters are all
+solved exactly at the root, are answered by the cluster kernel alone: the
+union of the clusters' lex-min covers is the lex-min optimal set, and no
+search runs.  Otherwise, after the search proves the optimum, the basis is
+found by fix-and-probe on the same search: points are decided in index
+order, and a point is kept when an optimal cover still exists with it and
+the points kept so far, and without the points turned down so far.
 """
 
 from __future__ import annotations
@@ -256,12 +263,17 @@ def _subset_tables(size: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     return full, tuple(contains), tuple(by_size)
 
 
-def _exact_cluster_min(members: tuple[tuple[int, int], ...], size: int) -> int:
-    """Minimum points of range(size) meeting every (mask, need) constraint.
+def _exact_cluster_min(members: tuple[tuple[int, int], ...], size: int) -> tuple[int, int]:
+    """Minimum points of range(size) meeting every (mask, need) constraint,
+    and the lexicographically smallest subset of that size that does.
 
     All subsets are tested at once, bit-parallel: layers[j] collects the
     subsets that meet m at least j times, and `good` those that meet every
     member.  The whole support meets every member, so some size is good.
+    Among the good subsets of the least size, keeping those that hold b,
+    for b ascending whenever some do, leaves the lex-min one.
+
+    Returns (value, subset mask).
     """
     full, contains, by_size = _subset_tables(size)
     good = full
@@ -272,16 +284,28 @@ def _exact_cluster_min(members: tuple[tuple[int, int], ...], size: int) -> int:
             for j in range(need, 0, -1):
                 layers[j] |= layers[j - 1] & holds_b
         good &= layers[need]
-    return next(j for j, subsets in enumerate(by_size) if good & subsets)
+    value = next(j for j, subsets in enumerate(by_size) if good & subsets)
+    best = good & by_size[value]
+    for holds_b in contains:
+        narrowed = best & holds_b
+        if narrowed:
+            best = narrowed
+    return value, best.bit_length() - 1
 
 
-def _cluster_bound(residuals: Sequence[tuple[int, int]], cache: dict) -> int:
+def _cluster_bound(residuals: Sequence[tuple[int, int]], cache: dict) -> tuple[int, int | None]:
     """Partition constraints into support-disjoint clusters and bound each.
 
     Clusters whose support fits under COMPONENT_SUPPORT_CAP are solved
     exactly (memoized on a support-relabeled key); larger ones fall back
     to the disjoint-set packing bound.  Cluster bounds add up because the
     clusters share no points.
+
+    Returns (bound, cover).  When every cluster was solved exactly, the
+    bound is the optimum and `cover` is the lex-min optimal cover: the
+    union of the clusters' lex-min covers, as the clusters share no points
+    and no optimal cover holds a point outside them.  Otherwise `cover` is
+    None.
     """
     clusters: list[tuple[int, list[tuple[int, int]]]] = []  # (support mask, members)
     for mask, need in residuals:
@@ -297,6 +321,7 @@ def _cluster_bound(residuals: Sequence[tuple[int, int]], cache: dict) -> int:
         rest.append((merged_mask, merged_members))
         clusters = rest
     total = 0
+    cover = 0
     for cmask, members in clusters:
         support = _bits(cmask)
         if len(support) <= COMPONENT_SUPPORT_CAP and len(members) <= 64:
@@ -308,14 +333,19 @@ def _cluster_bound(residuals: Sequence[tuple[int, int]], cache: dict) -> int:
                     nm |= 1 << pos[b]
                 normalized.append((nm, need))
             key = tuple(sorted(set(normalized)))
-            value = cache.get(key)
-            if value is None:
-                value = _exact_cluster_min(key, len(support))
-                cache[key] = value
+            solved = cache.get(key)
+            if solved is None:
+                solved = _exact_cluster_min(key, len(support))
+                cache[key] = solved
+            value, subset = solved
             total += value
+            if cover is not None:
+                for i in _bits(subset):
+                    cover |= 1 << support[i]
         else:
             total += _packing_bound(members)
-    return total
+            cover = None
+    return total, cover
 
 
 # --- branch and bound ---------------------------------------------------------
@@ -350,13 +380,20 @@ class _Search:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise _BudgetExceeded
 
-    def _residuals(self, chosen: int, banned: int) -> list[tuple[int, int]] | None:
-        """Residual (available mask, remaining need) per unsatisfied constraint,
-        with forced points absorbed into `chosen`; None when infeasible."""
+    def _residuals(self, chosen: int, banned: int,
+                   source: Sequence[tuple[int, int]]) -> tuple[int, list[tuple[int, int]]] | None:
+        """Residual (available mask, remaining need) per constraint of
+        `source` left unmet, with forced points absorbed into `chosen`:
+        returns (chosen, residuals), or None when infeasible.
+
+        `source` may be the parent's residuals rather than the constraints:
+        a parent residual is relative to the parent's chosen and banned
+        points, which the child's include, and filtering keeps its order.
+        """
         while True:
             forced = 0
             residuals = []
-            for mask, need in self.constraints:
+            for mask, need in source:
                 have = (mask & chosen).bit_count()
                 if have >= need:
                     continue
@@ -370,40 +407,49 @@ class _Search:
                     continue
                 residuals.append((rmask, rneed))
             if not forced:
-                self._chosen = chosen
-                return residuals
+                return chosen, residuals
             chosen |= forced
+            source = residuals
 
     def run(self, chosen: int = 0, banned: int = 0):
         """Search the covers that contain `chosen` and avoid `banned`."""
         try:
-            self._visit(chosen, banned)
+            self._visit(chosen, banned, self.constraints)
         except _FloorReached:
             pass
 
-    def _visit(self, chosen: int, banned: int):
+    def _record(self, cover: int):
+        size = cover.bit_count()
+        if size < self.best_size:
+            self.best_size = size
+            self.best_mask = cover
+            if size <= self.floor:
+                raise _FloorReached
+
+    def _visit(self, chosen: int, banned: int, source: Sequence[tuple[int, int]]):
         self.nodes += 1
         self._check_budget()
-        residuals = self._residuals(chosen, banned)
-        if residuals is None:
+        found = self._residuals(chosen, banned, source)
+        if found is None:
             return
-        chosen = self._chosen
-        size = chosen.bit_count()
+        chosen, residuals = found
         if not residuals:
-            if size < self.best_size:
-                self.best_size = size
-                self.best_mask = chosen
-                if size <= self.floor:
-                    raise _FloorReached
+            self._record(chosen)
             return
-        bound = max(max(need for _, need in residuals), _cluster_bound(residuals, self.cache))
-        if size + bound >= self.best_size:
+        bound, cover = _cluster_bound(residuals, self.cache)
+        if cover is not None:
+            # every cluster was solved exactly: the best cover below this
+            # node is known, so there is nothing to branch on
+            self._record(chosen | cover)
+            return
+        bound = max(max(need for _, need in residuals), bound)
+        if chosen.bit_count() + bound >= self.best_size:
             return
         rmask, rneed = min(residuals, key=lambda c: (c[0].bit_count(), c[0]))
         points = _bits(rmask)
         excluded = 0
         for j in range(len(points) - rneed + 1):
-            self._visit(chosen | (1 << points[j]), banned | excluded)
+            self._visit(chosen | (1 << points[j]), banned | excluded, residuals)
             excluded |= 1 << points[j]
 
 
@@ -455,11 +501,13 @@ def dim_exact(space: FiniteMetricSpace, k: int, *, budget_secs: float | None = D
               prev_dim: int | None = None) -> SolveReport:
     """Exact k-metric dimension via branch-and-bound multicover search.
 
-    `prev_dim` feeds the previous sequence level in as a lower bound.  The
-    search stops at the first cover as small as the root lower bound.  The
-    basis is then rebuilt as the lexicographically smallest optimal set by
-    fix-and-probe (`_lex_min_cover`).  The root bounds, the search and the
-    probes share one cluster-bound cache.
+    `prev_dim` feeds the previous sequence level in as a lower bound.  When
+    the root's constraint clusters are all solved exactly, their union
+    cover is the lex-min optimal basis and the report takes no nodes.
+    Otherwise the search stops at the first cover as small as the root
+    lower bound, and the basis is rebuilt as the lexicographically smallest
+    optimal set by fix-and-probe (`_lex_min_cover`).  The root bounds, the
+    search and the probes share one cluster-bound cache.
 
     On budget exhaustion the report carries status "bounded" with the
     proven (lower, incumbent) interval instead of an exact optimum.  If
@@ -488,11 +536,22 @@ def dim_exact(space: FiniteMetricSpace, k: int, *, budget_secs: float | None = D
     if prev_dim is not None:
         trace.append(("chain", prev_dim + 1))
     trace.append(("packing", _packing_bound(constraints)))
-    trace.append(("clusters", _cluster_bound(constraints, cache)))
+    cluster_value, cover = _cluster_bound(constraints, cache)
+    trace.append(("clusters", cluster_value))
     root_lb = max(value for _, value in trace)
     if root_lb > greedy_value:
         raise AssertionError(
             f"lower bound {root_lb} exceeds the greedy solution {greedy_value}: bound bug")
+    if cover is not None:
+        # every cluster was solved exactly: the optimum and its lex-min cover
+        if cluster_value != root_lb:
+            raise AssertionError(
+                f"lower bound {root_lb} exceeds the exact cluster optimum {cluster_value}: bound bug")
+        return SolveReport(
+            k=k, optimum=ExtendedNat(cluster_value), basis=PointSet.from_mask(cover),
+            lower_bound_trace=tuple(trace), nodes_explored=0, greedy_value=greedy_value,
+            elapsed=time.monotonic() - start, status="optimal",
+        )
     search = _Search(constraints, greedy_value, greedy_set.to_mask(), deadline,
                      floor=root_lb, cache=cache)
     if root_lb < greedy_value:

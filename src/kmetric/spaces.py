@@ -43,6 +43,7 @@ from .errors import (
     SamePoint,
     TriangleViolation,
     ZeroOffDiagonal,
+    format_distance,
 )
 
 DEFAULT_QUANTIZE_DIGITS = 12
@@ -326,7 +327,7 @@ def build_space(labels, dist, meta=None, *, quantize_digits: int = DEFAULT_QUANT
     for i in range(n):
         zi = z[i]
         if zi[i] != 0:
-            raise FormatError(f"d[{i}][{i}]={d[i][i]} must be 0")
+            raise FormatError(f"d[{i}][{i}]={format_distance(d[i][i])} must be 0")
         for j in range(i + 1, n):
             if zi[j] != z[j][i]:
                 raise AsymmetricDistance(i, j, d[i][j], d[j][i])

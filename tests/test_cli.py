@@ -1,8 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
-from kmetric import cli, solver
+from kmetric import cli, solver, verify
 from kmetric.verify import SuiteResult
 
 
@@ -75,13 +76,15 @@ class TestAnalyze:
     @pytest.mark.parametrize("family, dim, nodes, trace, basis", [
         ("grid-ball:2,5", 3, 248, [["requirement", 1], ["packing", 2], ["clusters", 2]],
          ["(-5,0)", "(-4,-1)", "(5,0)"]),
-        ("petersen", 3, 6, [["requirement", 1], ["packing", 1], ["clusters", 3]],
+        ("petersen", 3, 0, [["requirement", 1], ["packing", 1], ["clusters", 3]],
          ["u1", "u3", "v4"]),
         ("free-ball:2,3", 24, 0, [["requirement", 1], ["packing", 12], ["clusters", 24]], None),
     ])
     def test_bound_values_and_node_counts(self, capsys, family, dim, nodes, trace, basis):
         # The cluster bound decides these node counts: a weaker or different
-        # bound changes them even when the optimum stays put.
+        # bound changes them even when the optimum stays put.  petersen's
+        # constraints form clusters that are all solved exactly at the root,
+        # so it takes no search.
         code, out = run(capsys, "analyze", "--family", family, "--k", "1", "--format", "json")
         assert code == 0
         data = json.loads(out)
@@ -91,9 +94,10 @@ class TestAnalyze:
         assert "basis_kind" not in data
 
     def test_lex_timeout_reports_witness(self, capsys, monkeypatch):
+        # grid-ball:2,5 has root bound 2 below its optimum 3, so the lex phase runs.
         monkeypatch.setattr(solver, "_lex_min_cover",
                             lambda constraints, target, witness, deadline, cache: (witness, 0, False))
-        code = cli.main(["analyze", "--family", "petersen", "--k", "1", "--format", "json"])
+        code = cli.main(["analyze", "--family", "grid-ball:2,5", "--k", "1", "--format", "json"])
         captured = capsys.readouterr()
         assert code == 0
         data = json.loads(captured.out)
@@ -291,10 +295,60 @@ class TestErrors:
         assert cli.main(["analyze", "--input", str(tmp_path)]) == 2
         assert "Is a directory" in capsys.readouterr().err
 
+    def test_distance_too_long_to_print(self, capsys, tmp_path):
+        # d(a,c) = 10**20000 breaks the triangle inequality; its numerator
+        # has more digits than the interpreter converts to str.
+        path = tmp_path / "space.json"
+        path.write_text('{"labels": ["a", "b", "c"], "distances": '
+                        '[[0, 1, "1e20000"], [1, 0, 1], ["1e20000", 1, 0]]}')
+        assert cli.main(["analyze", "--input", str(path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: d[0][2]=<fraction with 20001-digit numerator> > d[0][1]+d[1][2]=2"]
+
     def test_both_sources_rejected(self, capsys):
         with pytest.raises(SystemExit) as err:
             cli.main(["analyze", "--family", "petersen", "--input", "x.json"])
         assert err.value.code == 2
+
+
+class TestExitCodes:
+    """One run per documented exit code, with no traceback on stderr."""
+
+    def test_0_success(self, capsys):
+        assert cli.main(["analyze", "--family", "petersen", "--k", "1"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_2_input_error(self, capsys):
+        assert cli.main(["analyze", "--family", "cycle:2"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: parameters (2,) out of range for cycle"]
+
+    def test_3_budget_exhausted(self, capsys):
+        # grid-ball:2,5 has root bound 2 below its optimum 3, so it needs
+        # search, and a microsecond budget is gone before the first node.
+        code = cli.main(["analyze", "--family", "grid-ball:2,5", "--k", "1",
+                         "--budget-secs", "1e-6", "--format", "json"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (3, "")
+        data = json.loads(captured.out)
+        assert data["status"] == "bounded" and data["bounds"] == [2, data["dim"]]
+
+    def test_4_property_violation(self, capsys, monkeypatch):
+        # A solver that overcounts on joined spaces (parts of 2 or 3
+        # points, so a join has at least 4) breaks exact additivity.
+        real = verify.dim_exact
+
+        def overcounting(space, k, **kwargs):
+            report = real(space, k, **kwargs)
+            return dataclasses.replace(report, optimum=report.optimum + (space.n >= 4))
+
+        monkeypatch.setattr(verify, "dim_exact", overcounting)
+        code = cli.main(["verify", "--suite", "join-trivial", "--random", "2", "--n", "3",
+                         "--format", "json"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (4, "")
+        data = json.loads(captured.out)
+        assert data["passed"] is False and len(data["failures"]) == 4
 
 
 class TestDeterminism:

@@ -4,10 +4,13 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
-from kmetric.errors import BadFamilyParams
+from kmetric.errors import BadFamilyParams, KMetricError
 from kmetric.families import (
+    _CLI_ALIASES,
     FamilySpec,
     divergence_evidence,
     expected_sequence,
@@ -57,6 +60,34 @@ class TestParse:
                     "lollipop:5,0", "petersen:3", "grid-ball:0,2", "sqrt-primes:1"):
             with pytest.raises(BadFamilyParams):
                 parse_family(bad)
+
+
+# Family tokens as a user might mistype them: a known or unknown name, a
+# separator, and parameters that are numbers, near-numbers, text or ints
+# past the interpreter's digit limit.
+_PARAMS = st.one_of(
+    st.integers(min_value=-10**6, max_value=10**6).map(str),
+    st.text(max_size=6),
+    st.sampled_from(["", " ", "1_0", "0x10", "\u0663", "1e3", "-0", "+7", "9" * 4300, "1" * 5000]),
+)
+_FAMILY_TOKENS = st.one_of(
+    st.text(),
+    st.builds(lambda name, sep, params: name + sep + ",".join(params),
+              st.sampled_from(sorted(_CLI_ALIASES) + ["", "nope", "Cycle", " path "]),
+              st.sampled_from([":", "::", ": ", ""]),
+              st.lists(_PARAMS, max_size=4)),
+)
+
+
+class TestParseFuzz:
+    @settings(max_examples=300)
+    @given(_FAMILY_TOKENS)
+    def test_only_family_errors_escape(self, text):
+        try:
+            spec = parse_family(text)
+        except KMetricError:
+            return
+        assert parse_family(str(spec)) == spec
 
 
 class TestCounts:

@@ -6,7 +6,7 @@ cluster bound tests all subsets of a cluster's support at once.  Each
 test here keeps the straightforward version as a reference and requires
 the same result: the same exception (class, indices, message) for bad
 input, the same masks, the same greedy (value, set), the same spaces, the
-same cluster minimum.
+same cluster minimum and lex-min subset.
 """
 
 import random
@@ -28,7 +28,13 @@ from kmetric.errors import (
     ZeroOffDiagonal,
 )
 from kmetric.randgen import random_rational_metric
-from kmetric.solver import COMPONENT_SUPPORT_CAP, _exact_cluster_min, _subset_tables, greedy_upper
+from kmetric.solver import (
+    COMPONENT_SUPPORT_CAP,
+    _cluster_bound,
+    _exact_cluster_min,
+    _subset_tables,
+    greedy_upper,
+)
 from kmetric.spaces import (
     PointSet,
     TwoPointSpaceWarning,
@@ -129,16 +135,17 @@ def reference_rational_metric(n, rng, max_weight=8):
 
 
 def reference_cluster_min(members, size):
-    """The subset scan by increasing size: the size of the first subset of
-    range(size) meeting every (mask, need) member."""
+    """The subset scan by increasing size: the size and the mask of the
+    first subset of range(size) meeting every (mask, need) member.
+    `combinations` yields in lex order, so that subset is the lex-min one."""
     for count in range(1, size + 1):
         for combo in combinations(range(size), count):
             sm = 0
             for x in combo:
                 sm |= 1 << x
             if all((sm & m).bit_count() >= need for m, need in members):
-                return count
-    return size
+                return count, sm
+    return size, (1 << size) - 1
 
 
 # --- strategies ---------------------------------------------------------------
@@ -343,6 +350,18 @@ class TestClusterMin:
     def test_same_minimum_as_the_subset_scan(self, cluster):
         members, size = cluster
         assert _exact_cluster_min(members, size) == reference_cluster_min(members, size)
+
+    def test_cluster_covers_map_back_through_the_support(self):
+        # Two clusters, {1, 3} and {20, 21}: each cover is its cluster's
+        # first point, put back at its place in the space.
+        assert _cluster_bound([(0b1010, 1), (0b11 << 20, 1)], {}) == (2, 1 << 1 | 1 << 20)
+
+    def test_a_packing_cluster_leaves_no_cover(self):
+        # A path of edges over COMPONENT_SUPPORT_CAP + 1 points is too wide
+        # to solve exactly; the other cluster's exact cover does not close it.
+        wide = [(0b11 << b, 1) for b in range(COMPONENT_SUPPORT_CAP)]
+        bound, cover = _cluster_bound(wide + [(0b11 << 40, 1)], {})
+        assert (bound, cover) == ((COMPONENT_SUPPORT_CAP + 1) // 2 + 1, None)
 
     def test_tables_match_their_definition(self):
         for size in range(COMPONENT_SUPPORT_CAP + 1):

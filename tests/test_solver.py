@@ -165,6 +165,38 @@ class TestDimExact:
         assert is_k_generator(space, report.basis, 5).valid
 
 
+class TestKernelClosure:
+    @given(metric_spaces(max_n=9), st.randoms(use_true_random=False))
+    @settings(max_examples=40)
+    def test_same_answer_as_the_oracle_and_the_search(self, space, rnd):
+        # At n <= 9 every cluster is solved exactly, so each level closes on
+        # the kernel's lex-min cover.  With the cap at 0 every cluster falls
+        # back to packing, and the search and fix-and-probe answer instead.
+        perm = list(range(space.n))
+        rnd.shuffle(perm)
+        for candidate in (space, permute_space(space, perm)):
+            for k in range(1, max_k(candidate) + 1):
+                report = dim_exact(candidate, k)
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(solver, "COMPONENT_SUPPORT_CAP", 0)
+                    searched = dim_exact(candidate, k)
+                m = report.optimum.value
+                assert report.optimum == dim_bruteforce(candidate, k) == searched.optimum
+                first = next(
+                    combo for combo in itertools.combinations(range(candidate.n), m)
+                    if is_k_generator(candidate, combo, k).valid)
+                assert report.basis.indices == first == searched.basis.indices
+                assert (report.nodes_explored, report.basis_kind) == (0, "lex_min")
+
+    def test_grid_ball_node_counts(self):
+        # Search nodes whose residual clusters are all solved exactly close
+        # on the kernel's cover, and a closed cover of floor size ends the
+        # search: going on past it takes k=3 and k=4 to 132 and 167 nodes.
+        space = make_space(parse_family("grid-ball:2,3"))
+        _, reports = sequence_with_reports(space)
+        assert [r.nodes_explored for r in reports] == [73, 123, 89, 116, 68, 62, 66, 8]
+
+
 class TestBruteforce:
     def test_complete5_k2(self):
         assert dim_bruteforce(make_space(parse_family("complete:5")), 2) == 5
