@@ -25,10 +25,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import FormatError, KMetricError
+from .errors import FormatError, KMetricError, format_distance
 from .families import expected_sequence, make_space, parse_family
 from .graphs import parse_edge_list, shortest_path_metric
-from .solver import DEFAULT_BUDGET_SECS, ExtendedNat, dim_exact, sequence_with_reports
+from .solver import DEFAULT_BUDGET_SECS, dim_exact, sequence_with_reports
 from .spaces import (
     FiniteMetricSpace,
     dump_space,
@@ -81,6 +81,16 @@ class RunConfig:
         return DEFAULT_BUDGET_SECS
 
 
+def _printable(flag: str, value: Fraction | None) -> Fraction | None:
+    """`value`, once it is known that every later str() of it succeeds."""
+    if value is not None:
+        try:
+            str(value)
+        except ValueError:
+            raise KMetricError(f"{flag} {format_distance(value)} has too many digits to print") from None
+    return value
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(
         command=args.command,
@@ -90,8 +100,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         input_path2=getattr(args, "input2", None),
         k=getattr(args, "k", None),
         k_max=getattr(args, "k_max", None),
-        t=getattr(args, "t", None),
-        s=getattr(args, "s", None),
+        t=_printable("--t", getattr(args, "t", None)),
+        s=_printable("--s", getattr(args, "s", None)),
         fmt=getattr(args, "format", "plain"),
         seed=getattr(args, "seed", 0),
         budget_secs=getattr(args, "budget_secs", None),
@@ -132,10 +142,6 @@ def _emit(payload: dict, fmt: str, plain_lines: list[str], csv_text: str | None 
         print("\n".join(plain_lines))
 
 
-def _dim_cell(value: ExtendedNat) -> int | str:
-    return value.to_json()
-
-
 def cmd_analyze(config: RunConfig) -> int:
     space, source = _load_source(config.family, config.input_path)
     if config.t is not None:
@@ -155,7 +161,7 @@ def cmd_analyze(config: RunConfig) -> int:
     if config.k is not None:
         report = dim_exact(space, config.k, budget_secs=config.budget())
         payload["k"] = config.k
-        payload["dim"] = _dim_cell(report.optimum)
+        payload["dim"] = report.optimum.to_json()
         payload["status"] = report.status
         payload["nodes"] = report.nodes_explored
         payload["lower_bound_trace"] = [[name, value] for name, value in report.lower_bound_trace]
@@ -406,8 +412,8 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = _config_from_args(args)
     try:
+        config = _config_from_args(args)
         return _COMMANDS[config.command](config)
     except KMetricError as exc:
         print(f"error: {exc}", file=sys.stderr)

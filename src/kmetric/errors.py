@@ -73,7 +73,7 @@ class SamePoint(KMetricError):
 
 class NonpositiveParameter(KMetricError):
     def __init__(self, name: str, value):
-        super().__init__(f"{name}={value} must be positive")
+        super().__init__(f"{name}={format_distance(value)} must be positive")
         self.name = name
         self.value = value
 

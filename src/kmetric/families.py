@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from typing import Callable, NamedTuple
 
 from .errors import BadFamilyParams, KMetricError
 from .graphs import Graph, build_graph, shortest_path_metric
@@ -23,50 +24,6 @@ from .spaces import (
     build_space,
 )
 
-FAMILY_NAMES = (
-    "path",
-    "cycle",
-    "complete",
-    "petersen",
-    "lollipop",
-    "grid_ball",
-    "free_ball",
-    "ladder",
-    "sqrt_primes",
-    "interval_sample",
-)
-
-# CLI mini-language tokens, e.g. "grid-ball:2,4" or "interval:11".
-_CLI_ALIASES = {
-    "path": "path",
-    "cycle": "cycle",
-    "complete": "complete",
-    "petersen": "petersen",
-    "lollipop": "lollipop",
-    "grid-ball": "grid_ball",
-    "grid_ball": "grid_ball",
-    "free-ball": "free_ball",
-    "free_ball": "free_ball",
-    "ladder": "ladder",
-    "sqrt-primes": "sqrt_primes",
-    "sqrt_primes": "sqrt_primes",
-    "interval": "interval_sample",
-    "interval_sample": "interval_sample",
-}
-
-_ARITY = {
-    "path": 1,
-    "cycle": 1,
-    "complete": 1,
-    "petersen": 0,
-    "lollipop": 2,
-    "grid_ball": 2,
-    "free_ball": 2,
-    "ladder": 1,
-    "sqrt_primes": 1,
-    "interval_sample": 1,
-}
-
 
 @dataclass(frozen=True)
 class FamilySpec:
@@ -76,31 +33,25 @@ class FamilySpec:
     params: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.name not in FAMILY_NAMES:
+        family = _FAMILIES.get(self.name)
+        if family is None:
             raise BadFamilyParams(f"unknown family {self.name!r}")
-        if len(self.params) != _ARITY[self.name]:
+        if len(self.params) != family.arity:
             raise BadFamilyParams(
-                f"{self.name} takes {_ARITY[self.name]} parameter(s), got {len(self.params)}")
-        checks = {
-            "path": lambda p: p[0] >= 2,
-            "cycle": lambda p: p[0] >= 3,
-            "complete": lambda p: p[0] >= 2,
-            "petersen": lambda p: True,
-            "lollipop": lambda p: p[0] == 5 and p[1] >= 1,
-            "grid_ball": lambda p: p[0] >= 1 and p[1] >= 1,
-            "free_ball": lambda p: p[0] >= 1 and p[1] >= 1,
-            "ladder": lambda p: p[0] >= 1,
-            "sqrt_primes": lambda p: p[0] >= 2,
-            "interval_sample": lambda p: p[0] >= 2,
-        }
-        if not checks[self.name](self.params):
+                f"{self.name} takes {family.arity} parameter(s), got {len(self.params)}")
+        if not family.valid(self.params):
             raise BadFamilyParams(f"parameters {self.params} out of range for {self.name}")
 
     def __str__(self) -> str:
-        token = self.name.replace("_", "-").replace("interval-sample", "interval")
+        token = _token(self.name)
         if not self.params:
             return token
         return token + ":" + ",".join(str(p) for p in self.params)
+
+
+def _token(name: str) -> str:
+    """The CLI token of a family: "grid_ball" -> "grid-ball"; interval_sample is "interval"."""
+    return "interval" if name == "interval_sample" else name.replace("_", "-")
 
 
 def parse_family(text: str) -> FamilySpec:
@@ -120,7 +71,7 @@ def parse_family(text: str) -> FamilySpec:
 
 def make(spec: FamilySpec) -> Graph | FiniteMetricSpace:
     """Build the family member: a Graph for graph families, a space otherwise."""
-    return _MAKERS[spec.name](*spec.params)
+    return _FAMILIES[spec.name].make(*spec.params)
 
 
 def make_space(spec: FamilySpec) -> FiniteMetricSpace:
@@ -320,18 +271,28 @@ def make_interval_sample(count: int) -> FiniteMetricSpace:
     return build_space(labels, dist)
 
 
-_MAKERS = {
-    "path": make_path,
-    "cycle": make_cycle,
-    "complete": make_complete,
-    "petersen": make_petersen,
-    "lollipop": make_lollipop,
-    "grid_ball": make_grid_ball,
-    "free_ball": make_free_ball,
-    "ladder": make_ladder,
-    "sqrt_primes": make_sqrt_primes,
-    "interval_sample": make_interval_sample,
+class _Family(NamedTuple):
+    make: Callable[..., Graph | FiniteMetricSpace]
+    arity: int
+    valid: Callable[[tuple[int, ...]], bool]  # parameter range check
+
+
+_FAMILIES = {
+    "path": _Family(make_path, 1, lambda p: p[0] >= 2),
+    "cycle": _Family(make_cycle, 1, lambda p: p[0] >= 3),
+    "complete": _Family(make_complete, 1, lambda p: p[0] >= 2),
+    "petersen": _Family(make_petersen, 0, lambda p: True),
+    "lollipop": _Family(make_lollipop, 2, lambda p: p[0] == 5 and p[1] >= 1),
+    "grid_ball": _Family(make_grid_ball, 2, lambda p: p[0] >= 1 and p[1] >= 1),
+    "free_ball": _Family(make_free_ball, 2, lambda p: p[0] >= 1 and p[1] >= 1),
+    "ladder": _Family(make_ladder, 1, lambda p: p[0] >= 1),
+    "sqrt_primes": _Family(make_sqrt_primes, 1, lambda p: p[0] >= 2),
+    "interval_sample": _Family(make_interval_sample, 1, lambda p: p[0] >= 2),
 }
+
+# CLI mini-language tokens, e.g. "grid-ball:2,4" or "interval:11"; the
+# underscore names are accepted too.
+_CLI_ALIASES = {alias: name for name in _FAMILIES for alias in (name, _token(name))}
 
 
 # --- known dimension sequences ------------------------------------------------

@@ -7,13 +7,15 @@ exact integers.
 
 from __future__ import annotations
 
+import warnings
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
 
 from .errors import DisconnectedGraph, FormatError
-from .spaces import FiniteMetricSpace, bisector, build_space
+from .spaces import FiniteMetricSpace, TwoPointSpaceWarning, bisector
 
 
 @dataclass(frozen=True)
@@ -101,7 +103,11 @@ def _bfs(g: Graph, source: int) -> list[int | None]:
 
 
 def shortest_path_metric(g: Graph) -> FiniteMetricSpace:
-    """All-pairs BFS distances as an exact integer metric space."""
+    """All-pairs BFS distances as an exact integer metric space.
+
+    The distances of a connected graph are a metric by construction, so
+    the space is built directly, without `build_space`'s re-check.
+    """
     if g.n < 2:
         raise FormatError(f"need at least 2 vertices, got {g.n}")
     matrix = []
@@ -111,7 +117,12 @@ def shortest_path_metric(g: Graph) -> FiniteMetricSpace:
             if d is None:
                 raise DisconnectedGraph(g.labels[s], g.labels[v])
         matrix.append(tuple(dist))
-    return build_space(g.labels, tuple(matrix))
+    if g.n == 2:
+        warnings.warn("2-point spaces are degenerate for dimension analysis", TwoPointSpaceWarning, stacklevel=2)
+    values = [Fraction(d) for d in range(max(map(max, matrix)) + 1)]
+    space = FiniteMetricSpace(g.labels, tuple(tuple(values[d] for d in row) for row in matrix))
+    vars(space)["_int_dist"] = tuple(matrix)  # fill the cached_property: the BFS ints are the scaled matrix
+    return space
 
 
 @dataclass(frozen=True)

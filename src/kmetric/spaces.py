@@ -12,10 +12,12 @@ one L are equal, or ordered, exactly when the fractions are, so
 validation, bisectors and distinguisher masks use plain (and bit-parallel)
 integer code, while `dist`, messages and JSON keep the fractions.
 
-Every space is validated in full when it is built.  Two things keep that
-cheap: `build_space` converts each distinct int or str entry once, and
-the triangle check tests all n*n inequalities for one point at a time as
-byte fields of one big integer (`_triangle_scan`).
+Input from outside (a matrix, space JSON) is validated in full once, by
+`build_space`.  Two things keep that cheap: it converts each distinct int
+or str entry once, and the triangle check tests all n*n inequalities for
+one point at a time as byte fields of one big integer (`_triangle_scan`).
+Spaces derived from a valid space (`truncate`, `join`, `permute_space`)
+are metrics by construction and are built directly, without a re-check.
 
 All types are immutable after construction and all operations are pure
 functions; spaces can be shared freely.
@@ -303,7 +305,7 @@ def build_space(labels, dist, meta=None, *, quantize_digits: int = DEFAULT_QUANT
     if len(rows) != n or any(len(row) != n for row in rows):
         raise FormatError(f"distance matrix must be {n}x{n}")
     quantized = False
-    # Graph metrics repeat a few ints and a symmetric JSON matrix every
+    # Integer matrices repeat a few ints and a symmetric JSON matrix every
     # string.  No other type is memoised: hashing a Fraction costs more
     # than it saves, True must not hit the entry of 1, and floats set
     # `quantized`.
@@ -443,16 +445,15 @@ def truncate(space: FiniteMetricSpace, t, cutoff=None) -> FiniteMetricSpace:
     if cap <= 0:
         raise NonpositiveParameter("cutoff", cap)
     d = tuple(tuple(min(x, cap) for x in row) for row in space.dist)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TwoPointSpaceWarning)
-        return build_space(space.labels, d, meta=dict(space.meta))
+    return FiniteMetricSpace(space.labels, d, space.meta)
 
 
 def join(a: FiniteMetricSpace, b: FiniteMetricSpace, t) -> FiniteMetricSpace:
     """Disjoint union with within-part distances capped at 2t and cross distance t.
 
-    The construction always yields a metric for t > 0, but the result is
-    revalidated anyway so ingestion bugs surface as hard errors.
+    For t > 0 the result is a metric by construction: a capped distance is
+    at most 2t = t + t, and every two-step path between the parts takes one
+    cross step of length t.  So it is built directly, without a re-check.
     """
     t = Fraction(t)
     if t <= 0:
@@ -475,9 +476,7 @@ def join(a: FiniteMetricSpace, b: FiniteMetricSpace, t) -> FiniteMetricSpace:
             else:
                 row.append(t)
         rows.append(tuple(row))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TwoPointSpaceWarning)
-        return build_space(labels, tuple(rows))
+    return FiniteMetricSpace(labels, tuple(rows))
 
 
 def permute_space(space: FiniteMetricSpace, perm: Iterable[int]) -> FiniteMetricSpace:
@@ -487,9 +486,7 @@ def permute_space(space: FiniteMetricSpace, perm: Iterable[int]) -> FiniteMetric
         raise FormatError(f"not a permutation of 0..{space.n - 1}: {perm}")
     labels = tuple(space.labels[p] for p in perm)
     d = tuple(tuple(space.dist[p][q] for q in perm) for p in perm)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TwoPointSpaceWarning)
-        return build_space(labels, d, meta=dict(space.meta))
+    return FiniteMetricSpace(labels, d, space.meta)
 
 
 # --- JSON interchange -------------------------------------------------------

@@ -305,6 +305,27 @@ class TestErrors:
         assert capsys.readouterr().err.splitlines() == [
             "error: d[0][2]=<fraction with 20001-digit numerator> > d[0][1]+d[1][2]=2"]
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--family", "path:6", "--t", "1e20001", "--k", "1"],
+        ["sequence", "--family", "path:4", "--t", "1e20001"],
+        ["join", "--family", "path:3", "--family2", "sqrt-primes:3", "--t", "1e20001", "--k", "1"],
+        ["verify", "--suite", "truncation", "--s", "1", "--t", "1e20001"],
+    ], ids=["analyze", "sequence", "join", "verify"])
+    def test_parameter_too_long_to_print(self, capsys, argv):
+        # 10**20001 parses, but has more digits than the interpreter
+        # converts to str for the "source" and "t" fields.
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: --t <fraction with 20002-digit numerator> has too many digits to print"]
+
+    def test_s_too_long_to_print(self, capsys):
+        assert cli.main(["verify", "--suite", "truncation", "--s", "1e-20001", "--t", "1"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --s <fraction with 1-digit numerator and 20002-digit denominator>"
+            " has too many digits to print"]
+
     def test_both_sources_rejected(self, capsys):
         with pytest.raises(SystemExit) as err:
             cli.main(["analyze", "--family", "petersen", "--input", "x.json"])

@@ -22,6 +22,7 @@ from kmetric.errors import (
 from kmetric.families import make_space, parse_family
 from kmetric.graphs import parse_edge_list, shortest_path_metric
 from kmetric.spaces import (
+    FiniteMetricSpace,
     PointSet,
     TwoPointSpaceWarning,
     all_distinguishers,
@@ -37,7 +38,7 @@ from kmetric.spaces import (
     truncate,
 )
 
-from conftest import metric_spaces
+from conftest import connected_graphs, metric_spaces
 
 
 def discrete(n):
@@ -257,6 +258,8 @@ class TestTruncate:
             truncate(discrete(3), 0)
         with pytest.raises(NonpositiveParameter):
             truncate(discrete(3), Fraction(-1, 2))
+        with pytest.raises(NonpositiveParameter, match="fraction with 5001-digit numerator"):
+            truncate(discrete(3), -10**5000)
 
     def test_explicit_cutoff_parameter(self):
         space = make_space(parse_family("path:5"))
@@ -312,6 +315,67 @@ class TestJoin:
             join(a, c, 0)
         with pytest.raises(NonpositiveParameter):
             join(a, c, Fraction(-1, 2))
+
+
+def assert_rebuilds(space: FiniteMetricSpace):
+    """The validating constructor accepts `space` and rebuilds it field by field."""
+    again = build_space(space.labels, space.dist, space.meta)
+    assert again.labels == space.labels
+    assert again.dist == space.dist
+    assert all(type(x) is Fraction for row in space.dist for x in row)
+    assert dict(again.meta) == dict(space.meta)
+    assert again._int_dist == space._int_dist
+
+
+_PARAMS = st.fractions(min_value=Fraction(1, 12), max_value=5, max_denominator=12)
+
+
+class TestDerivedSpaces:
+    """truncate, join, permute_space and shortest_path_metric skip
+    build_space's checks; what they build must pass those checks anyway."""
+
+    @given(metric_spaces(), _PARAMS, st.none() | _PARAMS)
+    def test_truncate(self, space, t, cutoff):
+        assert_rebuilds(truncate(space, t, cutoff))
+
+    @given(metric_spaces(max_n=6), metric_spaces(max_n=6), _PARAMS)
+    def test_join(self, a, b, t):
+        b = build_space([f"b{lab}" for lab in b.labels], b.dist)
+        joined = join(a, b, t)
+        assert_rebuilds(joined)
+        for i in range(joined.n):
+            for j in range(joined.n):
+                if (i < a.n) != (j < a.n):
+                    assert joined.dist[i][j] == t
+                elif i < a.n:
+                    assert joined.dist[i][j] == min(a.dist[i][j], 2 * t)
+                else:
+                    assert joined.dist[i][j] == min(b.dist[i - a.n][j - a.n], 2 * t)
+
+    @given(metric_spaces(), st.data())
+    def test_permute_space(self, space, data):
+        assert_rebuilds(permute_space(space, data.draw(st.permutations(range(space.n)))))
+
+    @given(connected_graphs())
+    def test_shortest_path_metric(self, g):
+        assert_rebuilds(shortest_path_metric(g))
+
+
+class TestTwoPointWarning:
+    """The warning marks 2-point input; spaces derived from it stay silent."""
+
+    def test_two_vertex_edge_list_warns(self):
+        with pytest.warns(TwoPointSpaceWarning):
+            space = shortest_path_metric(parse_edge_list("a b\n"))
+        assert space.labels == ("a", "b") and space.dist[0][1] == 1
+
+    def test_derived_two_point_spaces_are_silent(self):
+        with pytest.warns(TwoPointSpaceWarning):
+            space = build_space(["a", "b"], [[0, 3], [3, 0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert truncate(space, 1).dist[0][1] == 2
+            assert permute_space(space, (1, 0)).labels == ("b", "a")
 
 
 class TestJsonFormat:
