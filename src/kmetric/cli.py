@@ -8,31 +8,33 @@ dimensions).
 Exit codes: 0 success, 2 input error, 3 budget exhausted with only bounds,
 4 property violation in a verify suite.
 
-Runs are reproducible: the same arguments and seed produce
-byte-identical JSON/CSV output, so timing never appears in the payload.
-An analyze run whose budget ran out while the lex-min basis was being
-chosen is not: it says so with `"basis_kind": "witness"` and a `note:`
-line on stderr.
+Each subcommand declares only the options it reads, and each option has
+one setter: its flag, with its default in the parser.  The commands read
+the parsed namespace directly.
+
+Runs are reproducible: the same arguments produce byte-identical JSON/CSV
+output, so timing never appears in the payload.  An analyze run whose
+budget ran out while the lex-min basis was being chosen is not: it says so
+with `"basis_kind": "witness"` and a `note:` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from .errors import FormatError, KMetricError, format_distance
-from .families import expected_sequence, make_space, parse_family
-from .graphs import parse_edge_list, shortest_path_metric
-from .solver import DEFAULT_BUDGET_SECS, dim_exact, sequence_with_reports
+from .families import expected_sequence, make, make_space, parse_family
+from .graphs import Graph, parse_edge_list, shortest_path_metric
+from .solver import DEFAULT_BUDGET_SECS, DimensionSequence, dim_exact, sequence_with_reports
 from .spaces import (
     FiniteMetricSpace,
     dump_space,
     is_k_generator,
+    join,
     load_space,
     max_k,
     space_to_json_dict,
@@ -46,69 +48,13 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_VIOLATION = 4
 
-BUDGET_ENV_VAR = "KMETRIC_BUDGET_SECS"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one command invocation depends on."""
-
-    command: str
-    family: str | None = None
-    input_path: str | None = None
-    family2: str | None = None
-    input_path2: str | None = None
-    k: int | None = None
-    k_max: int | None = None
-    t: Fraction | None = None
-    s: Fraction | None = None
-    fmt: str = "plain"
-    seed: int = 0
-    budget_secs: float | None = None
-    random_count: int | None = None
-    n: int | None = None
-    suite: str | None = None
-
-    def budget(self) -> float:
-        if self.budget_secs is not None:
-            return self.budget_secs
-        env = os.environ.get(BUDGET_ENV_VAR)
-        if env is not None:
-            try:
-                return float(env)
-            except ValueError as exc:
-                raise KMetricError(f"{BUDGET_ENV_VAR}={env!r} is not a number") from exc
-        return DEFAULT_BUDGET_SECS
-
-
-def _printable(flag: str, value: Fraction | None) -> Fraction | None:
-    """`value`, once it is known that every later str() of it succeeds."""
+def _check_printable(flag: str, value: Fraction | None) -> None:
+    """Reject a value whose later str() would fail for its length."""
     if value is not None:
         try:
             str(value)
         except ValueError:
             raise KMetricError(f"{flag} {format_distance(value)} has too many digits to print") from None
-    return value
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        family=getattr(args, "family", None),
-        input_path=getattr(args, "input", None),
-        family2=getattr(args, "family2", None),
-        input_path2=getattr(args, "input2", None),
-        k=getattr(args, "k", None),
-        k_max=getattr(args, "k_max", None),
-        t=_printable("--t", getattr(args, "t", None)),
-        s=_printable("--s", getattr(args, "s", None)),
-        fmt=getattr(args, "format", "plain"),
-        seed=getattr(args, "seed", 0),
-        budget_secs=getattr(args, "budget_secs", None),
-        random_count=getattr(args, "random", None),
-        n=getattr(args, "n", None),
-        suite=getattr(args, "suite", None),
-    )
 
 
 def _load_source(family: str | None, input_path: str | None,
@@ -132,21 +78,21 @@ def _load_source(family: str | None, input_path: str | None,
 
 
 def _emit(payload: dict, fmt: str, plain_lines: list[str], csv_text: str | None = None):
+    """Print the payload as JSON, CSV or plain lines; only verify, whose
+    parser offers no CSV, omits `csv_text`."""
     if fmt == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     elif fmt == "csv":
-        if csv_text is None:
-            raise KMetricError(f"command {payload.get('command')} has no CSV form")
         sys.stdout.write(csv_text)
     else:
         print("\n".join(plain_lines))
 
 
-def cmd_analyze(config: RunConfig) -> int:
-    space, source = _load_source(config.family, config.input_path)
-    if config.t is not None:
-        space = truncate(space, config.t)
-        source = f"{source} truncated at t={config.t}"
+def cmd_analyze(args: argparse.Namespace) -> int:
+    space, source = _load_source(args.family, args.input)
+    if args.t is not None:
+        space = truncate(space, args.t)
+        source = f"{source} truncated at t={args.t}"
     cap = max_k(space)
     payload: dict = {
         "schema": SCHEMA,
@@ -158,15 +104,15 @@ def cmd_analyze(config: RunConfig) -> int:
     lines = [f"space: {source} (n={space.n})", f"max_k: {cap}"]
     csv_rows = ["key,value", f"n,{space.n}", f"max_k,{cap}"]
     exit_code = EXIT_OK
-    if config.k is not None:
-        report = dim_exact(space, config.k, budget_secs=config.budget())
-        payload["k"] = config.k
+    if args.k is not None:
+        report = dim_exact(space, args.k, budget_secs=args.budget_secs)
+        payload["k"] = args.k
         payload["dim"] = report.optimum.to_json()
         payload["status"] = report.status
         payload["nodes"] = report.nodes_explored
         payload["lower_bound_trace"] = [[name, value] for name, value in report.lower_bound_trace]
-        lines.append(f"dim_{config.k}: {report.optimum}")
-        csv_rows.append(f"dim_{config.k},{report.optimum}")
+        lines.append(f"dim_{args.k}: {report.optimum}")
+        csv_rows.append(f"dim_{args.k},{report.optimum}")
         if report.status == "bounded":
             payload["bounds"] = list(report.bounds)
             lines.append(f"bounds: [{report.bounds[0]}, {report.bounds[1]}]")
@@ -177,7 +123,7 @@ def cmd_analyze(config: RunConfig) -> int:
                   " basis; the basis shown is optimal but may not be the smallest",
                   file=sys.stderr)
         if report.basis is not None:
-            certificate = is_k_generator(space, report.basis, config.k)
+            certificate = is_k_generator(space, report.basis, args.k)
             payload["basis"] = list(report.basis.labels(space))
             payload["certificate"] = {
                 "valid": certificate.valid,
@@ -190,18 +136,18 @@ def cmd_analyze(config: RunConfig) -> int:
         else:
             payload["basis"] = None
             payload["certificate"] = None
-    _emit(payload, config.fmt, lines, "\n".join(csv_rows) + "\n")
+    _emit(payload, args.format, lines, "\n".join(csv_rows) + "\n")
     return exit_code
 
 
-def cmd_sequence(config: RunConfig) -> int:
-    space, source = _load_source(config.family, config.input_path)
-    truncated = config.t is not None
+def cmd_sequence(args: argparse.Namespace) -> int:
+    space, source = _load_source(args.family, args.input)
+    truncated = args.t is not None
     if truncated:
-        space = truncate(space, config.t)
-        source = f"{source} truncated at t={config.t}"
+        space = truncate(space, args.t)
+        source = f"{source} truncated at t={args.t}"
     cap = max_k(space)
-    seq, reports = sequence_with_reports(space, config.k_max, budget_secs=config.budget())
+    seq, reports = sequence_with_reports(space, args.k_max, budget_secs=args.budget_secs)
     payload: dict = {
         "schema": SCHEMA,
         "command": "sequence",
@@ -211,33 +157,39 @@ def cmd_sequence(config: RunConfig) -> int:
     }
     if seq is None:
         last = reports[-1]
+        exact = DimensionSequence(tuple(r.optimum for r in reports[:-1]), tail_start=None)
         payload["status"] = "bounded"
         payload["bounded_at_k"] = last.k
         payload["bounds"] = list(last.bounds)
-        payload["entries"] = [r.optimum.to_json() for r in reports[:-1]]
-        _emit(payload, config.fmt,
-              [f"sequence {source}: budget exhausted at k={last.k}, optimum in {last.bounds}"])
+        payload["entries"] = [e.to_json() for e in exact.entries]
+        _emit(payload, args.format,
+              [f"sequence {source}: budget exhausted at k={last.k}, optimum in {last.bounds}"],
+              exact.to_csv())
         return EXIT_BUDGET
     payload["entries"] = [e.to_json() for e in seq.entries]
     payload["tail_start"] = seq.tail_start
     payload["status"] = "optimal"
     lines = [f"sequence {source} (n={space.n}, max_k={cap})"]
     expected = None
-    if config.family is not None and not truncated:
-        expected = expected_sequence(parse_family(config.family))
+    if args.family is not None and not truncated:
+        expected = expected_sequence(parse_family(args.family))
     if expected is not None:
         verdicts = []
-        horizon = len(seq.entries)
-        for k in range(1, horizon + 1):
+        for k, entry in enumerate(seq.entries, start=1):
             if k <= len(expected.entries):
-                verdicts.append("PASS" if seq.entries[k - 1] == expected.entries[k - 1] else "FAIL")
-            elif expected.partial:
-                verdicts.append("UNKNOWN")
+                want = expected.entries[k - 1]
+                verdict = "PASS" if entry == want else "FAIL"
             else:
-                verdicts.append("FAIL")  # expected infinite here, computed finite
+                want = "?"
+                verdict = "UNKNOWN" if expected.partial else "FAIL"  # expected infinite, computed finite
+            verdicts.append(verdict)
+            lines.append(f"k={k} dim={entry} expected={want} {verdict}")
         tail_verdict = None
         if not expected.partial:
             tail_verdict = "PASS" if expected.tail_start == seq.tail_start else "FAIL"
+            lines.append(f"k>={seq.tail_start} dim=inf expected tail {expected.tail_start} {tail_verdict}")
+        overall = "FAIL" if ("FAIL" in verdicts or tail_verdict == "FAIL") else "PASS"
+        lines.append(f"overall: {overall}")
         payload["expected"] = {
             "entries": list(expected.entries),
             "tail_start": expected.tail_start,
@@ -245,16 +197,7 @@ def cmd_sequence(config: RunConfig) -> int:
         }
         payload["verdicts"] = verdicts
         payload["tail_verdict"] = tail_verdict
-        overall = "FAIL" if ("FAIL" in verdicts or tail_verdict == "FAIL") else "PASS"
         payload["overall"] = overall
-        for k, entry in enumerate(seq.entries, start=1):
-            want = expected.entries[k - 1] if k <= len(expected.entries) else None
-            verdict = verdicts[k - 1] if k - 1 < len(verdicts) else "UNKNOWN"
-            want_text = "?" if want is None else str(want)
-            lines.append(f"k={k} dim={entry} expected={want_text} {verdict}")
-        if tail_verdict is not None:
-            lines.append(f"k>={seq.tail_start} dim=inf expected tail {expected.tail_start} {tail_verdict}")
-        lines.append(f"overall: {overall}")
     else:
         payload["expected"] = None
         payload["verdicts"] = None
@@ -262,61 +205,51 @@ def cmd_sequence(config: RunConfig) -> int:
         for k, entry in enumerate(seq.entries, start=1):
             lines.append(f"k={k} dim={entry}")
         lines.append(f"k>={seq.tail_start} dim=inf")
-    _emit(payload, config.fmt, lines, seq.to_csv())
+    _emit(payload, args.format, lines, seq.to_csv())
     return EXIT_OK
 
 
-def cmd_verify(config: RunConfig) -> int:
-    if config.suite is None:
-        raise KMetricError("verify needs --suite")
+def cmd_verify(args: argparse.Namespace) -> int:
     graphs = None
-    if config.family is not None:
-        from .families import make
-        from .graphs import Graph
-
-        member = make(parse_family(config.family))
+    if args.family is not None:
+        member = make(parse_family(args.family))
         if not isinstance(member, Graph):
             raise KMetricError("--family for verify must name a graph family")
         graphs = [member]
     st_pair = None
-    if config.s is not None or config.t is not None:
-        if config.s is None or config.t is None or not 0 < config.s < config.t:
+    if args.s is not None or args.t is not None:
+        if args.s is None or args.t is None or not 0 < args.s < args.t:
             raise KMetricError("custom truncation needs --s and --t with 0 < s < t")
-        st_pair = (config.s, config.t)
+        st_pair = (args.s, args.t)
     result = run_suite(
-        config.suite,
-        count=config.random_count,
-        n=config.n,
-        seed=config.seed,
+        args.suite,
+        count=args.random,
+        n=args.n,
+        seed=args.seed,
         graphs=graphs,
-        budget_secs=config.budget(),
+        budget_secs=args.budget_secs,
         st_pair=st_pair,
     )
     payload = {
         "schema": SCHEMA,
         "command": "verify",
-        "seed": config.seed,
+        "seed": args.seed,
         **result.to_json_dict(),
     }
     status = "PASS" if result.passed else "FAIL"
     lines = [f"suite {result.suite}: {result.cases - len(result.failures)}/{result.cases} {status}"]
     for failure in result.failures[:3]:
         lines.append(f"counterexample: {json.dumps(failure, sort_keys=True)}")
-    _emit(payload, config.fmt, lines)
+    _emit(payload, args.format, lines)
     return EXIT_OK if result.passed else EXIT_VIOLATION
 
 
-def cmd_join(config: RunConfig) -> int:
-    from .spaces import join as join_spaces
-
-    space_a, source_a = _load_source(config.family, config.input_path)
-    space_b, source_b = _load_source(config.family2, config.input_path2, "--family2/--input2")
-    if config.t is None:
-        raise KMetricError("join needs --t")
-    t = Fraction(config.t)
-    joined = join_spaces(space_a, space_b, t)
-    ks = [config.k] if config.k is not None else list(range(1, (config.k_max or 1) + 1))
-    rows = join_dimensions(space_a, space_b, joined, t, ks, budget_secs=config.budget())
+def cmd_join(args: argparse.Namespace) -> int:
+    space_a, source_a = _load_source(args.family, args.input)
+    space_b, source_b = _load_source(args.family2, args.input2, "--family2/--input2")
+    joined = join(space_a, space_b, args.t)
+    ks = [args.k] if args.k is not None else list(range(1, (args.k_max or 1) + 1))
+    rows = join_dimensions(space_a, space_b, joined, args.t, ks, budget_secs=args.budget_secs)
     table = []
     for k, (da, db, dat, dbt, dj) in zip(ks, rows):
         total = da + db
@@ -336,11 +269,11 @@ def cmd_join(config: RunConfig) -> int:
         "command": "join",
         "source_a": source_a,
         "source_b": source_b,
-        "t": str(t),
+        "t": str(args.t),
         "space": space_to_json_dict(joined),
         "table": table,
     }
-    lines = [f"join {source_a} + {source_b} at t={t} (n={joined.n})", dump_space(joined)]
+    lines = [f"join {source_a} + {source_b} at t={args.t} (n={joined.n})", dump_space(joined)]
     for row in table:
         lines.append(
             f"k={row['k']}: dim_a={row['dim_a']} dim_b={row['dim_b']} sum={row['sum']}"
@@ -350,19 +283,20 @@ def cmd_join(config: RunConfig) -> int:
         f"{r['k']},{r['dim_a']},{r['dim_b']},{r['sum']},{r['dim_a_trunc']},{r['dim_b_trunc']},{r['dim_join']},{r['relation']}"
         for r in table
     ]
-    _emit(payload, config.fmt, lines, "\n".join(csv_rows) + "\n")
+    _emit(payload, args.format, lines, "\n".join(csv_rows) + "\n")
     return EXIT_OK
 
 
-def _add_common(sub: argparse.ArgumentParser, *, source: bool = True):
-    if source:
-        group = sub.add_mutually_exclusive_group()
-        group.add_argument("--family", help="family token, e.g. petersen, cycle:8, grid-ball:2,4")
-        group.add_argument("--input", help="path to a space JSON or edge-list file")
-    sub.add_argument("--format", choices=("json", "csv", "plain"), default="plain")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--budget-secs", dest="budget_secs", type=float, default=None,
-                     help=f"per-level time budget (default {DEFAULT_BUDGET_SECS:g}, env {BUDGET_ENV_VAR})")
+def _add_source(sub: argparse.ArgumentParser):
+    group = sub.add_mutually_exclusive_group()
+    group.add_argument("--family", help="family token, e.g. petersen, cycle:8, grid-ball:2,4")
+    group.add_argument("--input", help="path to a space JSON or edge-list file")
+
+
+def _add_common(sub: argparse.ArgumentParser, formats: tuple[str, ...] = ("json", "csv", "plain")):
+    sub.add_argument("--format", choices=formats, default="plain")
+    sub.add_argument("--budget-secs", dest="budget_secs", type=float, default=DEFAULT_BUDGET_SECS,
+                     help="per-level time budget in seconds, > 0; inf for no limit (default %(default)g)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -373,17 +307,22 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     analyze = commands.add_parser("analyze", help="max_k and dim_k with basis and certificate")
+    _add_source(analyze)
     _add_common(analyze)
     analyze.add_argument("--k", type=int, default=None)
     analyze.add_argument("--t", type=Fraction, default=None, help="truncate the space at t first")
 
     sequence = commands.add_parser("sequence", help="full dimension sequence with expected verdicts")
+    _add_source(sequence)
     _add_common(sequence)
     sequence.add_argument("--k-max", dest="k_max", type=int, default=None)
     sequence.add_argument("--t", type=Fraction, default=None, help="truncate the space at t first")
 
     verify = commands.add_parser("verify", help="run a theorem property suite")
-    _add_common(verify)
+    verify.add_argument("--family",
+                        help="graph family token, checked instead of random graphs (bipartite suite)")
+    _add_common(verify, ("json", "plain"))
+    verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--suite", choices=SUITE_NAMES, required=True)
     verify.add_argument("--random", type=int, default=None, help="number of random instances")
     verify.add_argument("--n", type=int, default=None, help="max instance size")
@@ -391,6 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--t", type=Fraction, default=None, help="larger truncation parameter")
 
     join_cmd = commands.add_parser("join", help="join two spaces and compare dimensions")
+    _add_source(join_cmd)
     _add_common(join_cmd)
     group2 = join_cmd.add_mutually_exclusive_group()
     group2.add_argument("--family2", help="second input as a family token")
@@ -410,11 +350,13 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
-        return _COMMANDS[config.command](config)
+        if not args.budget_secs > 0:  # also rejects NaN, which would never expire
+            raise KMetricError(f"--budget-secs must be > 0 (inf for no limit), got {args.budget_secs}")
+        for name in ("t", "s"):
+            _check_printable(f"--{name}", getattr(args, name, None))
+        return _COMMANDS[args.command](args)
     except KMetricError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

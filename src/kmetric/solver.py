@@ -166,7 +166,6 @@ class SolveReport:
     lower_bound_trace: tuple[tuple[str, int], ...]
     nodes_explored: int
     greedy_value: int | None
-    elapsed: float
     status: str  # "optimal" (exact, possibly infinite) or "bounded" (budget ran out)
     bounds: tuple[int, int] | None = None  # (proven lower, incumbent) when bounded
     # "lex_min": the basis of an optimal report is the lexicographically
@@ -518,16 +517,14 @@ def dim_exact(space: FiniteMetricSpace, k: int, *, budget_secs: float | None = D
     """
     if k < 1:
         raise NonpositiveParameter("k", k)
-    start = time.monotonic()
-    deadline = start + budget_secs if budget_secs is not None else None
+    deadline = time.monotonic() + budget_secs if budget_secs is not None else None
     dmap = all_distinguishers(space)
     feasible_cap = dmap.min_size()
     if k > feasible_cap:
         return SolveReport(
             k=k, optimum=INFINITY, basis=None,
             lower_bound_trace=(("max_k", feasible_cap),),
-            nodes_explored=0, greedy_value=None,
-            elapsed=time.monotonic() - start, status="optimal",
+            nodes_explored=0, greedy_value=None, status="optimal",
         )
     greedy_value, greedy_set = greedy_upper(space, k)
     constraints = [(m, k) for m in dmap.reduced_masks]
@@ -549,8 +546,7 @@ def dim_exact(space: FiniteMetricSpace, k: int, *, budget_secs: float | None = D
                 f"lower bound {root_lb} exceeds the exact cluster optimum {cluster_value}: bound bug")
         return SolveReport(
             k=k, optimum=ExtendedNat(cluster_value), basis=PointSet.from_mask(cover),
-            lower_bound_trace=tuple(trace), nodes_explored=0, greedy_value=greedy_value,
-            elapsed=time.monotonic() - start, status="optimal",
+            lower_bound_trace=tuple(trace), nodes_explored=0, greedy_value=greedy_value, status="optimal",
         )
     search = _Search(constraints, greedy_value, greedy_set.to_mask(), deadline,
                      floor=root_lb, cache=cache)
@@ -562,7 +558,7 @@ def dim_exact(space: FiniteMetricSpace, k: int, *, budget_secs: float | None = D
                 k=k, optimum=ExtendedNat(search.best_size),
                 basis=PointSet.from_mask(search.best_mask),
                 lower_bound_trace=tuple(trace), nodes_explored=search.nodes,
-                greedy_value=greedy_value, elapsed=time.monotonic() - start,
+                greedy_value=greedy_value,
                 status="bounded", bounds=(max(root_lb, k), search.best_size),
             )
     basis_mask, lex_nodes, lex_finished = _lex_min_cover(
@@ -570,7 +566,7 @@ def dim_exact(space: FiniteMetricSpace, k: int, *, budget_secs: float | None = D
     return SolveReport(
         k=k, optimum=ExtendedNat(search.best_size), basis=PointSet.from_mask(basis_mask),
         lower_bound_trace=tuple(trace), nodes_explored=search.nodes + lex_nodes,
-        greedy_value=greedy_value, elapsed=time.monotonic() - start, status="optimal",
+        greedy_value=greedy_value, status="optimal",
         basis_kind="lex_min" if lex_finished else "witness",
     )
 

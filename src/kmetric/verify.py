@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import KMetricError
 from .graphs import Graph, check_odd_distance_bisectors, format_edge_list
@@ -21,10 +21,9 @@ from .randgen import (
     random_space,
 )
 from .solver import ExtendedNat, dim_exact, sequence_with_reports
-from .spaces import FiniteMetricSpace, bisector, join, max_k, space_to_json_dict, truncate
+from .spaces import FiniteMetricSpace, bisector, join, space_to_json_dict, truncate
 
 DEFAULT_ST_PAIRS = ((Fraction(1), Fraction(2)), (Fraction(1), Fraction(4)), (Fraction(2), Fraction(4)))
-SUITE_NAMES = ("monotonicity", "truncation", "join", "join-trivial", "bipartite")
 
 
 @dataclass(frozen=True)
@@ -51,6 +50,15 @@ def _sorted_failures(failures: list[dict]) -> tuple[dict, ...]:
     return tuple(sorted(failures, key=lambda f: (f.get("n", 0), str(f))))
 
 
+def _check_sizes(suite: str, count: int, n: int, smallest: int) -> None:
+    """Reject, before any case runs, a case count below 1 or a largest
+    instance size below the smallest size the suite draws."""
+    if count < 1:
+        raise KMetricError(f"the {suite} suite needs at least 1 case, got {count}")
+    if n < smallest:
+        raise KMetricError(f"the {suite} suite draws instances of {smallest} or more points, got n={n}")
+
+
 def _space_failure(space: FiniteMetricSpace, detail: str, **extra) -> dict:
     out = {"n": space.n, "detail": detail, "space": space_to_json_dict(space)}
     out.update(extra)
@@ -59,31 +67,24 @@ def _space_failure(space: FiniteMetricSpace, detail: str, **extra) -> dict:
 
 def monotonicity_suite(count: int = 100, n: int = 8, seed: int = 0, *,
                        budget_secs: float | None = None) -> SuiteResult:
-    """Dimension sequences step by at least one, respect the floor dim_k >= k,
-    and grow at least linearly from dim_1."""
+    """Dimension sequences respect the floor dim_k >= k and step by at least
+    one (so dim_k >= dim_1 + k - 1).
+
+    `DimensionSequence` checks both as the sequence is built; the case
+    records its error message as the failure."""
+    _check_sizes("monotonicity", count, n, 3)
     rng = random.Random(seed)
     failures: list[dict] = []
     for case in range(count):
         size = rng.randint(3, n)
         space = random_space(size, rng)
-        seq, reports = sequence_with_reports(space, budget_secs=budget_secs)
+        try:
+            seq, reports = sequence_with_reports(space, budget_secs=budget_secs)
+        except ValueError as exc:
+            failures.append(_space_failure(space, str(exc), case=case))
+            continue
         if seq is None:
             failures.append(_space_failure(space, f"budget exhausted at k={reports[-1].k}", case=case))
-            continue
-        values = seq.as_values()
-        cap = max_k(space)
-        for k, value in enumerate(values, start=1):
-            problems = []
-            if value < k:
-                problems.append(f"dim_{k}={value} < k")
-            if k > 1 and value < values[k - 2] + 1:
-                problems.append(f"dim_{k}={value} not above dim_{k - 1}={values[k - 2]}")
-            if value + 1 < values[0] + k:
-                problems.append(f"dim_{k}+1={value + 1} < dim_1+k={values[0] + k}")
-            if problems:
-                failures.append(_space_failure(space, "; ".join(problems), case=case))
-        if seq.tail_start != cap + 1:
-            failures.append(_space_failure(space, f"tail_start {seq.tail_start} != max_k+1 {cap + 1}", case=case))
     return SuiteResult("monotonicity", count, _sorted_failures(failures))
 
 
@@ -97,6 +98,7 @@ def truncation_suite(count: int = 50, n: int = 8, seed: int = 0, *,
 
     Per case, each cap is applied once, and each space's bisectors and
     dim_k are computed once, however many (s, t) pairs share it."""
+    _check_sizes("truncation", count, n, 3)
     rng = random.Random(seed)
     failures: list[dict] = []
     for case in range(count):
@@ -151,6 +153,7 @@ def join_suite(count: int = 50, n: int = 5, seed: int = 0, *,
     """Joining two spaces never loses dimension: the sum of the parts'
     dimensions bounds the joined dimension from below, through the
     truncated dimensions."""
+    _check_sizes("join", count, n, 2)
     rng = random.Random(seed)
     failures: list[dict] = []
     for case in range(count):
@@ -171,6 +174,7 @@ def join_trivial_suite(count: int = 20, n: int = 5, seed: int = 0, *,
                        k_values: Sequence[int] = (1, 2),
                        budget_secs: float | None = None) -> SuiteResult:
     """With the cross distance beyond both diameters, dimensions add exactly."""
+    _check_sizes("join-trivial", count, n, 2)
     rng = random.Random(seed)
     failures: list[dict] = []
     for case in range(count):
@@ -189,13 +193,17 @@ def join_trivial_suite(count: int = 20, n: int = 5, seed: int = 0, *,
 
 def bipartite_suite(count: int = 20, n: int = 10, seed: int = 0, *,
                     graphs: Sequence[Graph] | None = None) -> SuiteResult:
-    """Odd-distance pairs in odd-cycle-free graphs have empty bisectors."""
-    rng = random.Random(seed)
-    failures: list[dict] = []
+    """Odd-distance pairs in odd-cycle-free graphs have empty bisectors.
+
+    Given `graphs`, the suite checks those instead of `count` random ones
+    of 3..n points."""
     if graphs is not None:
         pool = list(graphs)
     else:
+        _check_sizes("bipartite", count, n, 3)
+        rng = random.Random(seed)
         pool = [random_bipartite_connected_graph(rng.randint(3, n), rng) for _ in range(count)]
+    failures: list[dict] = []
     for case, graph in enumerate(pool):
         report = check_odd_distance_bisectors(graph)
         if not report.bipartite:
@@ -215,20 +223,33 @@ def bipartite_suite(count: int = 20, n: int = 10, seed: int = 0, *,
     return SuiteResult("bipartite", len(pool), _sorted_failures(failures))
 
 
+_SUITES = {
+    "monotonicity": monotonicity_suite,
+    "truncation": truncation_suite,
+    "join": join_suite,
+    "join-trivial": join_trivial_suite,
+    "bipartite": bipartite_suite,
+}
+SUITE_NAMES = tuple(_SUITES)
+
+
 def run_suite(name: str, *, count: int | None = None, n: int | None = None, seed: int = 0,
               graphs: Sequence[Graph] | None = None,
               budget_secs: float | None = None,
               st_pair: tuple[Fraction, Fraction] | None = None) -> SuiteResult:
-    """Dispatch a suite by CLI name with its default case counts."""
-    st_pairs = DEFAULT_ST_PAIRS if st_pair is None else (st_pair,)
-    table: dict[str, Callable[[], SuiteResult]] = {
-        "monotonicity": lambda: monotonicity_suite(count or 100, n or 8, seed, budget_secs=budget_secs),
-        "truncation": lambda: truncation_suite(count or 50, n or 8, seed, st_pairs=st_pairs,
-                                               budget_secs=budget_secs),
-        "join": lambda: join_suite(count or 50, n or 5, seed, budget_secs=budget_secs),
-        "join-trivial": lambda: join_trivial_suite(count or 20, n or 5, seed, budget_secs=budget_secs),
-        "bipartite": lambda: bipartite_suite(count or 20, n or 10, seed, graphs=graphs),
-    }
-    if name not in table:
+    """Run a suite by CLI name.
+
+    A `count` or `n` left None takes the suite's own default.  `graphs`
+    reaches only the bipartite suite, `st_pair` only the truncation suite,
+    and `budget_secs` every suite but the bipartite one, which solves
+    nothing."""
+    if name not in _SUITES:
         raise KMetricError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    return table[name]()
+    options = {"count": count, "n": n, "seed": seed}
+    if name == "bipartite":
+        options["graphs"] = graphs
+    else:
+        options["budget_secs"] = budget_secs
+    if name == "truncation" and st_pair is not None:
+        options["st_pairs"] = (st_pair,)
+    return _SUITES[name](**{key: value for key, value in options.items() if value is not None})

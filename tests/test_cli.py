@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 
@@ -53,9 +54,9 @@ class TestAnalyze:
         assert json.loads(out)["dim"] == 2
 
     def test_budget_exhaustion_exit_code(self, capsys):
-        # an already-expired deadline stops the search at its first node
+        # a microsecond deadline has passed by the search's first node
         code, out = run(capsys, "analyze", "--family", "grid-ball:2,3", "--k", "1",
-                        "--budget-secs", "-1", "--format", "json")
+                        "--budget-secs", "1e-6", "--format", "json")
         assert code == 3
         data = json.loads(out)
         assert data["status"] == "bounded"
@@ -139,6 +140,13 @@ class TestSequence:
         data = json.loads(out)
         assert data["entries"] == [3, 4]
 
+    def test_bounded_csv_has_the_exact_levels(self, capsys):
+        # grid-ball:2,5 needs search at k=1, and a microsecond budget is gone
+        # before its first node: no level is exact, so only the header prints.
+        code, out = run(capsys, "sequence", "--family", "grid-ball:2,5", "--budget-secs", "1e-6",
+                        "--format", "csv")
+        assert (code, out) == (3, "k,dim_k\n")
+
     def test_unknown_expectation(self, capsys):
         code, out = run(capsys, "sequence", "--family", "ladder:3", "--format", "json")
         assert code == 0
@@ -179,6 +187,49 @@ class TestVerify:
         code, _ = run(capsys, "verify", "--suite", "truncation", "--s", "3", "--t", "1")
         assert code == 2
 
+    def test_monotonicity_reports_a_broken_step(self, capsys, monkeypatch):
+        # A solver that repeats dim_1 at k=2 breaks the floor dim_k >= k,
+        # which DimensionSequence rejects as the sequence is built.
+        real = solver.dim_exact
+
+        def flat(space, k, **kwargs):
+            report = real(space, k, **kwargs)
+            if k == 2:
+                report = dataclasses.replace(report, optimum=real(space, 1).optimum)
+            return report
+
+        monkeypatch.setattr(solver, "dim_exact", flat)
+        code = cli.main(["verify", "--suite", "monotonicity", "--random", "2", "--n", "4",
+                         "--format", "json"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (4, "")
+        data = json.loads(captured.out)
+        assert [f["detail"] for f in data["failures"]] == ["dim_2=1 below the floor k=2"] * 2
+
+    @pytest.mark.parametrize("suite, smallest", [
+        ("monotonicity", 3), ("truncation", 3), ("join", 2), ("join-trivial", 2), ("bipartite", 3),
+    ])
+    @pytest.mark.parametrize("flag, value", [("--random", 0), ("--random", -5), ("--n", None)],
+                             ids=["random-0", "random-negative", "n-too-small"])
+    def test_bad_sizes_rejected_before_any_work(self, capsys, monkeypatch, suite, smallest, flag, value):
+        monkeypatch.setattr(verify, "random", None)  # any case drawn would crash
+        value = smallest - 1 if value is None else value
+        assert cli.main(["verify", "--suite", suite, flag, str(value)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith(f"error: the {suite} suite")
+
+    @pytest.mark.parametrize("suite, smallest", [("join", 2), ("monotonicity", 3)])
+    def test_smallest_n_runs(self, capsys, suite, smallest):
+        code, out = run(capsys, "verify", "--suite", suite, "--random", "2", "--n", str(smallest),
+                        "--format", "json")
+        assert code == 0 and json.loads(out)["cases"] == 2
+
+    def test_family_graphs_skip_the_size_check(self, capsys):
+        code, out = run(capsys, "verify", "--suite", "bipartite", "--family", "path:2", "--n", "1",
+                        "--format", "json")
+        assert code == 0 and json.loads(out)["cases"] == 1
+
 
 class TestJoin:
     @pytest.fixture()
@@ -217,6 +268,13 @@ class TestJoin:
         a, _ = segments
         code, _ = run(capsys, "join", "--input", a, "--input2", a, "--t", "1")
         assert code == 2
+
+    def test_csv(self, capsys):
+        code, out = run(capsys, "join", "--family", "path:3", "--family2", "sqrt-primes:3",
+                        "--t", "1", "--k-max", "2", "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[0] == "k,dim_a,dim_b,sum,dim_a_trunc,dim_b_trunc,dim_join,relation"
+        assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["1", "2"]
 
     def test_missing_t(self, segments, capsys):
         a, b = segments
@@ -326,6 +384,20 @@ class TestErrors:
             "error: --s <fraction with 1-digit numerator and 20002-digit denominator>"
             " has too many digits to print"]
 
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "-inf"])
+    def test_budget_not_positive(self, capsys, value):
+        # NaN would never expire; zero or less would end the run at once
+        assert cli.main(["analyze", "--family", "petersen", "--k", "1", f"--budget-secs={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: --budget-secs must be > 0 (inf for no limit), got {float(value)}"]
+
+    def test_infinite_budget_is_no_limit(self, capsys):
+        code, out = run(capsys, "analyze", "--family", "petersen", "--k", "1", "--budget-secs", "inf",
+                        "--format", "json")
+        assert code == 0 and json.loads(out)["status"] == "optimal"
+
     def test_both_sources_rejected(self, capsys):
         with pytest.raises(SystemExit) as err:
             cli.main(["analyze", "--family", "petersen", "--input", "x.json"])
@@ -378,10 +450,39 @@ class TestDeterminism:
         second = run(capsys, "sequence", "--family", "cycle:8", "--format", "json")
         assert first == second
 
-    def test_budget_env_override(self, monkeypatch):
-        monkeypatch.setenv(cli.BUDGET_ENV_VAR, "12.5")
-        config = cli.RunConfig(command="analyze")
-        assert config.budget() == 12.5
-        monkeypatch.delenv(cli.BUDGET_ENV_VAR)
-        assert cli.RunConfig(command="analyze").budget() == 60.0
-        assert cli.RunConfig(command="analyze", budget_secs=3.0).budget() == 3.0
+
+
+class TestParserSurface:
+    """Each subcommand declares exactly the options it reads."""
+
+    OPTIONS = {
+        "analyze": {"--family", "--input", "--format", "--budget-secs", "--k", "--t"},
+        "sequence": {"--family", "--input", "--format", "--budget-secs", "--k-max", "--t"},
+        "verify": {"--family", "--format", "--budget-secs", "--seed", "--suite", "--random", "--n",
+                   "--s", "--t"},
+        "join": {"--family", "--input", "--family2", "--input2", "--format", "--budget-secs", "--k",
+                 "--k-max", "--t"},
+    }
+
+    def test_options_per_subcommand(self):
+        [commands] = [action for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction)]
+        declared = {
+            name: {option for action in sub._actions for option in action.option_strings} - {"-h", "--help"}
+            for name, sub in commands.choices.items()
+        }
+        assert declared == self.OPTIONS
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--family", "petersen", "--seed", "1"],
+        ["sequence", "--family", "petersen", "--seed", "1"],
+        ["join", "--family", "path:3", "--family2", "sqrt-primes:3", "--t", "1", "--seed", "1"],
+        ["verify", "--suite", "monotonicity", "--input", "f.json"],
+        ["verify", "--suite", "monotonicity", "--format", "csv"],
+    ], ids=["analyze-seed", "sequence-seed", "join-seed", "verify-input", "verify-csv"])
+    def test_undeclared_option_exits_before_any_work(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(cli, "_COMMANDS", {})  # no command can run
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2
+        assert capsys.readouterr().out == ""
