@@ -248,7 +248,7 @@ def cmd_join(args: argparse.Namespace) -> int:
     space_a, source_a = _load_source(args.family, args.input)
     space_b, source_b = _load_source(args.family2, args.input2, "--family2/--input2")
     joined = join(space_a, space_b, args.t)
-    ks = [args.k] if args.k is not None else list(range(1, (args.k_max or 1) + 1))
+    ks = [args.k] if args.k is not None else list(range(1, args.k_max + 1))
     rows = join_dimensions(space_a, space_b, joined, args.t, ks, budget_secs=args.budget_secs)
     table = []
     for k, (da, db, dat, dbt, dj) in zip(ks, rows):
@@ -336,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     group2.add_argument("--family2", help="second input as a family token")
     group2.add_argument("--input2", help="second input as a file path")
     join_cmd.add_argument("--k", type=int, default=None)
-    join_cmd.add_argument("--k-max", dest="k_max", type=int, default=None)
+    join_cmd.add_argument("--k-max", dest="k_max", type=int, default=1)
     join_cmd.add_argument("--t", type=Fraction, required=True, help="cross-part distance (rational)")
     return parser
 
@@ -356,6 +356,9 @@ def main(argv: list[str] | None = None) -> int:
             raise KMetricError(f"--budget-secs must be > 0 (inf for no limit), got {args.budget_secs}")
         for name in ("t", "s"):
             _check_printable(f"--{name}", getattr(args, name, None))
+        k_max = getattr(args, "k_max", None)
+        if k_max is not None and k_max < 1:
+            raise KMetricError(f"--k-max must be at least 1, got {k_max}")
         return _COMMANDS[args.command](args)
     except KMetricError as exc:
         print(f"error: {exc}", file=sys.stderr)

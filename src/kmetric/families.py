@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 
 from .errors import BadFamilyParams, KMetricError
 from .graphs import Graph, build_graph, shortest_path_metric
-from .solver import dim_exact
+from .solver import DEFAULT_BUDGET_SECS, dim_exact
 from .spaces import (
     DEFAULT_QUANTIZE_DIGITS,
     FiniteMetricSpace,
@@ -362,14 +362,15 @@ class DivergenceReport:
 
 
 def divergence_evidence(family: str, radii, *, rank: int = 2,
-                        budget_secs: float | None = None) -> DivergenceReport:
+                        budget_secs: float | None = DEFAULT_BUDGET_SECS) -> DivergenceReport:
     """Evidence for how dim_1 behaves on growing truncations.
 
     For lattice balls the witness is the quadrant inside the bisector of
     the two neighbors of a diagonal point; for free-group balls it is a
     whole root branch inside the bisector of two other root neighbors;
     for the ladder it is the two half-rails equidistant from 0 and 1+i.
-    Containment is verified exhaustively on each truncation.
+    Containment is verified exhaustively on each truncation.  Each dim_1
+    solve gets `budget_secs` as its budget; None means no limit.
     """
     family = _CLI_ALIASES.get(family.replace("_", "-"), family)
     if family not in ("grid_ball", "free_ball", "ladder"):
@@ -398,8 +399,7 @@ def divergence_evidence(family: str, radii, *, rank: int = 2,
 
 
 def _dim1(space: FiniteMetricSpace, budget_secs) -> int:
-    kwargs = {} if budget_secs is None else {"budget_secs": budget_secs}
-    report = dim_exact(space, 1, **kwargs)
+    report = dim_exact(space, 1, budget_secs=budget_secs)
     if report.status != "optimal":
         raise KMetricError(f"budget exhausted computing dim_1: bounds {report.bounds}")
     return report.optimum.value
@@ -419,7 +419,7 @@ def _grid_evidence(rank: int, radius: int, budget_secs) -> RadiusEvidence:
         cu = coords[u]
         for v in range(u + 1, space.n):
             cv = coords[v]
-            if space.dist[u][v] != sum(abs(a - b) for a, b in zip(cu, cv)):
+            if space._int_dist[u][v] != sum(abs(a - b) for a, b in zip(cu, cv)):
                 distortions += 1
     # witness chain: for diagonal anchors (m,...,m), the bisector of the two
     # points one step away along the first two axes contains the whole

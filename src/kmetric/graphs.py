@@ -10,12 +10,11 @@ from __future__ import annotations
 import warnings
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
 
 from .errors import DisconnectedGraph, FormatError
-from .spaces import FiniteMetricSpace, TwoPointSpaceWarning, bisector
+from .spaces import FiniteMetricSpace, TwoPointSpaceWarning, _from_scaled, bisector
 
 
 @dataclass(frozen=True)
@@ -106,7 +105,8 @@ def shortest_path_metric(g: Graph) -> FiniteMetricSpace:
     """All-pairs BFS distances as an exact integer metric space.
 
     The distances of a connected graph are a metric by construction, so
-    the space is built directly, without `build_space`'s re-check.
+    the BFS integers are the space's stored distances, at scale 1, without
+    `build_space`'s re-check.
     """
     if g.n < 2:
         raise FormatError(f"need at least 2 vertices, got {g.n}")
@@ -119,10 +119,7 @@ def shortest_path_metric(g: Graph) -> FiniteMetricSpace:
         matrix.append(tuple(dist))
     if g.n == 2:
         warnings.warn("2-point spaces are degenerate for dimension analysis", TwoPointSpaceWarning, stacklevel=2)
-    values = [Fraction(d) for d in range(max(map(max, matrix)) + 1)]
-    space = FiniteMetricSpace(g.labels, tuple(tuple(values[d] for d in row) for row in matrix))
-    vars(space)["_int_dist"] = tuple(matrix)  # fill the cached_property: the BFS ints are the scaled matrix
-    return space
+    return _from_scaled(g.labels, tuple(matrix), 1)
 
 
 @dataclass(frozen=True)
@@ -196,7 +193,7 @@ def check_odd_distance_bisectors(g: Graph) -> OddDistanceReport:
     empty = 0
     violations = []
     for u, v in space.pairs():
-        if space.dist[u][v] % 2 == 0:
+        if space._int_dist[u][v] % 2 == 0:
             continue
         odd_pairs += 1
         if len(bisector(space, u, v)) == 0:

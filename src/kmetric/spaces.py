@@ -1,23 +1,24 @@
 """Finite metric spaces with exact rational distances.
 
-Everything here is exact: distances are `fractions.Fraction`, so the
-equality test d(x,u) = d(x,v) that defines a bisector is decidable and
-transitive.  Floating-point input is quantized to a fixed number of
-decimal digits at load time and the precision is recorded in the space's
-metadata, because tolerance-based equality would corrupt bisectors.
+Everything here is exact, so the equality test d(x,u) = d(x,v) that
+defines a bisector is decidable and transitive.  Floating-point input is
+quantized to a fixed number of decimal digits at load time and the
+precision is recorded in the space's metadata, because tolerance-based
+equality would corrupt bisectors.
 
-Comparisons run on common-denominator integers: each space also carries
-its distances times the lcm L of their denominators.  Integers scaled by
-one L are equal, or ordered, exactly when the fractions are, so
-validation, bisectors and distinguisher masks use plain (and bit-parallel)
-integer code, while `dist`, messages and JSON keep the fractions.
+A space stores its distances times L, the lcm of their denominators, as
+integers, plus L.  Integers scaled by one L are equal, or ordered,
+exactly when the fractions are, so validation, bisectors and
+distinguisher masks use plain (and bit-parallel) integer code; `dist`,
+the fractions for the API, messages and JSON, is derived on first use.
 
 Input from outside (a matrix, space JSON) is validated in full once, by
-`build_space`.  Two things keep that cheap: it converts each distinct int
-or str entry once, and the triangle check tests all n*n inequalities for
-one point at a time as byte fields of one big integer (`_triangle_scan`).
-Spaces derived from a valid space (`truncate`, `join`, `permute_space`)
-are metrics by construction and are built directly, without a re-check.
+`build_space`, the only path from fractions to integers.  It converts
+each distinct int or str entry once, and its triangle check tests all n*n
+inequalities for one point at a time as byte fields of one big integer
+(`_triangle_scan`).  Spaces derived from a valid space (`truncate`,
+`join`, `permute_space`) are metrics by construction: they are built
+from integers directly, by `_from_scaled`, without a re-check.
 
 All types are immutable after construction and all operations are pure
 functions; spaces can be shared freely.
@@ -31,7 +32,7 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -63,12 +64,6 @@ def _bits(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
-
-
-def _scaled(dist) -> tuple[tuple[int, ...], ...]:
-    """The matrix times the lcm of its denominators, as exact integers."""
-    scale = math.lcm(*{x.denominator for row in dist for x in row})
-    return tuple(tuple(x.numerator * (scale // x.denominator) for x in row) for row in dist)
 
 
 def as_rational(value, quantize_digits: int = DEFAULT_QUANTIZE_DIGITS) -> tuple[Fraction, bool]:
@@ -142,10 +137,13 @@ class PointSet:
 
 @dataclass(frozen=True)
 class FiniteMetricSpace:
-    """n labeled points with an exact, symmetric distance matrix."""
+    """n labeled points with an exact, symmetric distance matrix, stored as
+    `_int_dist`, the distances times `scale`, the lcm of their reduced
+    denominators.  The constructor trusts its input (see `build_space`)."""
 
     labels: tuple[str, ...]
-    dist: tuple[tuple[Fraction, ...], ...]
+    _int_dist: tuple[tuple[int, ...], ...]
+    scale: int
     meta: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -154,6 +152,13 @@ class FiniteMetricSpace:
     @property
     def n(self) -> int:
         return len(self.labels)
+
+    @cached_property
+    def dist(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The distance matrix in fractions; each distinct value is built once."""
+        scale = self.scale
+        value = {x: Fraction(x, scale) for x in set().union(*self._int_dist)}
+        return tuple(tuple(map(value.__getitem__, row)) for row in self._int_dist)
 
     @cached_property
     def _label_index(self) -> dict[str, int]:
@@ -166,7 +171,7 @@ class FiniteMetricSpace:
         return self.dist[u][v]
 
     def diameter(self) -> Fraction:
-        return max(max(row) for row in self.dist)
+        return Fraction(max(map(max, self._int_dist)), self.scale)
 
     def pairs(self) -> Iterator[tuple[int, int]]:
         n = self.n
@@ -175,12 +180,17 @@ class FiniteMetricSpace:
                 yield u, v
 
     @cached_property
-    def _int_dist(self) -> tuple[tuple[int, ...], ...]:
-        return _scaled(self.dist)
-
-    @cached_property
     def _distinguishers(self) -> "DistinguisherMap":
         return DistinguisherMap(self._int_dist)
+
+
+def _from_scaled(labels, z, scale: int, meta=None) -> FiniteMetricSpace:
+    """The space with distances z / scale, for a metric matrix `z` (tuples
+    of ints), after dividing out the common factor of z and scale."""
+    common = math.gcd(scale, *chain.from_iterable(z))
+    if common > 1:
+        z, scale = tuple(tuple(x // common for x in row) for row in z), scale // common
+    return FiniteMetricSpace(labels, z, scale, meta or {})
 
 
 @dataclass(frozen=True)
@@ -325,7 +335,8 @@ def build_space(labels, dist, meta=None, *, quantize_digits: int = DEFAULT_QUANT
             cooked.append(value)
         matrix.append(tuple(cooked))
     d = tuple(matrix)
-    z = _scaled(d)
+    scale = math.lcm(*{x.denominator for row in d for x in row})
+    z = tuple(tuple(x.numerator * (scale // x.denominator) for x in row) for row in d)
     for i in range(n):
         zi = z[i]
         if zi[i] != 0:
@@ -343,9 +354,7 @@ def build_space(labels, dist, meta=None, *, quantize_digits: int = DEFAULT_QUANT
     meta = dict(meta or {})
     if quantized:
         meta.setdefault("quantization_digits", quantize_digits)
-    space = FiniteMetricSpace(labels, d, meta)
-    vars(space)["_int_dist"] = z  # fill the cached_property; z is already at hand
-    return space
+    return _from_scaled(labels, z, scale, meta)
 
 
 def _triangle_scan(z) -> tuple[int, int] | None:
@@ -444,8 +453,10 @@ def truncate(space: FiniteMetricSpace, t, cutoff=None) -> FiniteMetricSpace:
     cap = Fraction(cutoff) if cutoff is not None else 2 * t
     if cap <= 0:
         raise NonpositiveParameter("cutoff", cap)
-    d = tuple(tuple(min(x, cap) for x in row) for row in space.dist)
-    return FiniteMetricSpace(space.labels, d, space.meta)
+    scale = math.lcm(space.scale, cap.denominator)
+    up, top = scale // space.scale, cap.numerator * (scale // cap.denominator)
+    z = tuple(tuple(min(x * up, top) for x in row) for row in space._int_dist)
+    return _from_scaled(space.labels, z, scale, space.meta)
 
 
 def join(a: FiniteMetricSpace, b: FiniteMetricSpace, t) -> FiniteMetricSpace:
@@ -461,22 +472,13 @@ def join(a: FiniteMetricSpace, b: FiniteMetricSpace, t) -> FiniteMetricSpace:
     shared = set(a.labels) & set(b.labels)
     if shared:
         raise LabelCollision(shared)
-    cap = 2 * t
-    na, nb = a.n, b.n
-    labels = a.labels + b.labels
-    size = na + nb
-    rows = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            if i < na and j < na:
-                row.append(min(a.dist[i][j], cap))
-            elif i >= na and j >= na:
-                row.append(min(b.dist[i - na][j - na], cap))
-            else:
-                row.append(t)
-        rows.append(tuple(row))
-    return FiniteMetricSpace(labels, tuple(rows))
+    scale = math.lcm(a.scale, b.scale, t.denominator)
+    cross = t.numerator * (scale // t.denominator)
+    up_a, up_b, cap = scale // a.scale, scale // b.scale, 2 * cross
+    to_b, to_a = (cross,) * b.n, (cross,) * a.n
+    z = (tuple(tuple(min(x * up_a, cap) for x in row) + to_b for row in a._int_dist)
+         + tuple(to_a + tuple(min(x * up_b, cap) for x in row) for row in b._int_dist))
+    return _from_scaled(a.labels + b.labels, z, scale)
 
 
 def permute_space(space: FiniteMetricSpace, perm: Iterable[int]) -> FiniteMetricSpace:
@@ -485,8 +487,8 @@ def permute_space(space: FiniteMetricSpace, perm: Iterable[int]) -> FiniteMetric
     if sorted(perm) != list(range(space.n)):
         raise FormatError(f"not a permutation of 0..{space.n - 1}: {perm}")
     labels = tuple(space.labels[p] for p in perm)
-    d = tuple(tuple(space.dist[p][q] for q in perm) for p in perm)
-    return FiniteMetricSpace(labels, d, space.meta)
+    z = space._int_dist
+    return _from_scaled(labels, tuple(tuple(z[p][q] for q in perm) for p in perm), space.scale, space.meta)
 
 
 # --- JSON interchange -------------------------------------------------------

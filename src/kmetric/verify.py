@@ -133,7 +133,7 @@ def _random_join_parts(rng: random.Random, n: int):
     nb = rng.randint(2, n)
     a = random_rational_metric(na, rng)
     b = random_rational_metric(nb, rng)
-    b = FiniteMetricSpace(tuple(f"y{i}" for i in range(b.n)), b.dist, dict(b.meta))
+    b = FiniteMetricSpace(tuple(f"y{i}" for i in range(b.n)), b._int_dist, b.scale, b.meta)
     return a, b
 
 
@@ -240,16 +240,17 @@ def run_suite(name: str, *, count: int | None = None, n: int | None = None, seed
     """Run a suite by CLI name.
 
     A `count` or `n` left None takes the suite's own default.  `graphs`
-    reaches only the bipartite suite, `st_pair` only the truncation suite,
-    and `budget_secs` every suite but the bipartite one, which solves
-    nothing."""
+    (bipartite suite) and `st_pair` (truncation suite) are rejected for any
+    other suite, and `budget_secs` reaches every suite but the bipartite
+    one, which solves nothing."""
     if name not in _SUITES:
         raise KMetricError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    options = {"count": count, "n": n, "seed": seed}
-    if name == "bipartite":
-        options["graphs"] = graphs
-    else:
+    if graphs is not None and name != "bipartite":
+        raise KMetricError(f"only the bipartite suite checks given graphs, not the {name} suite")
+    if st_pair is not None and name != "truncation":
+        raise KMetricError(f"only the truncation suite reads an (s, t) pair, not the {name} suite")
+    options = {"count": count, "n": n, "seed": seed, "graphs": graphs,
+               "st_pairs": None if st_pair is None else (st_pair,)}
+    if name != "bipartite":
         options["budget_secs"] = budget_secs
-    if name == "truncation" and st_pair is not None:
-        options["st_pairs"] = (st_pair,)
     return _SUITES[name](**{key: value for key, value in options.items() if value is not None})

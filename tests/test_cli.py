@@ -225,6 +225,18 @@ class TestVerify:
                         "--format", "json")
         assert code == 0 and json.loads(out)["cases"] == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--suite", "monotonicity", "--family", "petersen"],
+         "error: only the bipartite suite checks given graphs, not the monotonicity suite"),
+        (["--suite", "join", "--s", "1", "--t", "2"],
+         "error: only the truncation suite reads an (s, t) pair, not the join suite"),
+    ], ids=["family", "s-t"])
+    def test_flag_of_another_suite_rejected_before_any_case(self, capsys, monkeypatch, argv, message):
+        monkeypatch.setattr(verify, "random", None)  # any case drawn would crash
+        assert cli.main(["verify", *argv, "--random", "2"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err.splitlines()) == ("", [message])
+
     def test_family_graphs_skip_the_size_check(self, capsys):
         code, out = run(capsys, "verify", "--suite", "bipartite", "--family", "path:2", "--n", "1",
                         "--format", "json")
@@ -383,6 +395,21 @@ class TestErrors:
         assert capsys.readouterr().err.splitlines() == [
             "error: --s <fraction with 1-digit numerator and 20002-digit denominator>"
             " has too many digits to print"]
+
+    @pytest.mark.parametrize("argv, value", [
+        (["sequence", "--family", "petersen"], "0"),
+        (["sequence", "--family", "petersen"], "-2"),
+        (["join", "--family", "path:3", "--family2", "sqrt-primes:3", "--t", "1"], "0"),
+    ], ids=["sequence-0", "sequence-negative", "join-0"])
+    def test_k_max_below_1_rejected_before_any_solve(self, capsys, monkeypatch, argv, value):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved a level")
+
+        monkeypatch.setattr(solver, "dim_exact", no_solve)
+        monkeypatch.setattr(verify, "dim_exact", no_solve)
+        assert cli.main([*argv, "--k-max", value]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err.splitlines()) == ("", [f"error: --k-max must be at least 1, got {value}"])
 
     @pytest.mark.parametrize("value", ["0", "-1", "nan", "-inf"])
     def test_budget_not_positive(self, capsys, value):

@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from kmetric import families
 from kmetric.errors import BadFamilyParams, KMetricError
 from kmetric.families import (
     _CLI_ALIASES,
@@ -19,7 +20,7 @@ from kmetric.families import (
     parse_family,
 )
 from kmetric.graphs import Graph, shortest_path_metric
-from kmetric.solver import dim_exact
+from kmetric.solver import DEFAULT_BUDGET_SECS, dim_exact
 from kmetric.spaces import FiniteMetricSpace, bisector, max_k
 
 
@@ -239,6 +240,19 @@ class TestDivergenceEvidence:
         for radius in (2, 3):
             space = make_space(FamilySpec("ladder", (radius,)))
             assert dims[radius] == dim_bruteforce(space, 1).value == 2
+
+    @pytest.mark.parametrize("given, passed", [({}, DEFAULT_BUDGET_SECS), ({"budget_secs": None}, None)],
+                             ids=["default", "none-is-no-limit"])
+    def test_budget_reaches_dim_exact(self, monkeypatch, given, passed):
+        seen = []
+
+        def spy(space, k, **kwargs):
+            seen.append(kwargs)
+            return dim_exact(space, k, **kwargs)
+
+        monkeypatch.setattr(families, "dim_exact", spy)
+        divergence_evidence("ladder", (2, 3), **given)
+        assert seen == [{"budget_secs": passed}] * 2
 
     def test_bad_arguments(self):
         with pytest.raises(BadFamilyParams):

@@ -21,6 +21,7 @@ from kmetric.errors import (
 )
 from kmetric.families import make_space, parse_family
 from kmetric.graphs import parse_edge_list, shortest_path_metric
+from kmetric.randgen import random_rational_metric
 from kmetric.spaces import (
     FiniteMetricSpace,
     PointSet,
@@ -325,6 +326,7 @@ def assert_rebuilds(space: FiniteMetricSpace):
     assert all(type(x) is Fraction for row in space.dist for x in row)
     assert dict(again.meta) == dict(space.meta)
     assert again._int_dist == space._int_dist
+    assert again.scale == space.scale
 
 
 _PARAMS = st.fractions(min_value=Fraction(1, 12), max_value=5, max_denominator=12)
@@ -360,9 +362,36 @@ class TestDerivedSpaces:
     def test_shortest_path_metric(self, g):
         assert_rebuilds(shortest_path_metric(g))
 
+    @given(st.integers(min_value=2, max_value=9), st.integers(min_value=0, max_value=2**20))
+    def test_random_rational_metric(self, n, seed):
+        space = random_rational_metric(n, random.Random(seed))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TwoPointSpaceWarning)
+            assert_rebuilds(space)
+
+
+class TestCanonicalScale:
+    """A derived space divides out the common factor of its integers and
+    its scale, so it equals its `build_space` rebuild."""
+
+    def test_cap_whose_denominator_cancels(self):
+        space = discrete(3)
+        capped = truncate(space, Fraction(3, 4))  # cap 3/2 caps nothing: 2/2 reduces to 1/1
+        assert capped.scale == 1 and capped == space
+        assert capped == build_space(capped.labels, capped.dist)
+
+    def test_join_whose_part_denominator_cancels(self):
+        # Every distance of a, thirds included, is capped at 2t = 1/4, so
+        # the common scale lcm(3, 1, 8) = 24 reduces to 8.
+        a = build_space(["a0", "a1", "a2"], [[0, "1/3", 5], ["1/3", 0, 5], [5, 5, 0]])
+        joined = join(a, discrete(3), Fraction(1, 8))
+        assert joined.scale == 8
+        assert joined == build_space(joined.labels, joined.dist)
+
 
 class TestTwoPointWarning:
-    """The warning marks 2-point input; spaces derived from it stay silent."""
+    """The warning marks 2-point input; spaces derived from it, and random
+    ones, stay silent."""
 
     def test_two_vertex_edge_list_warns(self):
         with pytest.warns(TwoPointSpaceWarning):
@@ -376,6 +405,7 @@ class TestTwoPointWarning:
             warnings.simplefilter("error")
             assert truncate(space, 1).dist[0][1] == 2
             assert permute_space(space, (1, 0)).labels == ("b", "a")
+            assert random_rational_metric(2, random.Random(0)).n == 2
 
 
 class TestJsonFormat:
