@@ -356,9 +356,8 @@ def main(argv: list[str] | None = None) -> int:
             raise KMetricError(f"--budget-secs must be > 0 (inf for no limit), got {args.budget_secs}")
         for name in ("t", "s"):
             _check_printable(f"--{name}", getattr(args, name, None))
-        k_max = getattr(args, "k_max", None)
-        if k_max is not None and k_max < 1:
-            raise KMetricError(f"--k-max must be at least 1, got {k_max}")
+        if getattr(args, "k_max", None) is not None and args.k_max < 1:
+            raise KMetricError(f"--k-max must be at least 1, got {args.k_max}")
         return _COMMANDS[args.command](args)
     except KMetricError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -419,7 +419,7 @@ def _grid_evidence(rank: int, radius: int, budget_secs) -> RadiusEvidence:
         cu = coords[u]
         for v in range(u + 1, space.n):
             cv = coords[v]
-            if space._int_dist[u][v] != sum(abs(a - b) for a, b in zip(cu, cv)):
+            if space.dist[u][v] != sum(abs(a - b) for a, b in zip(cu, cv)):
                 distortions += 1
     # witness chain: for diagonal anchors (m,...,m), the bisector of the two
     # points one step away along the first two axes contains the whole

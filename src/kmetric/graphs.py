@@ -193,7 +193,7 @@ def check_odd_distance_bisectors(g: Graph) -> OddDistanceReport:
     empty = 0
     violations = []
     for u, v in space.pairs():
-        if space._int_dist[u][v] % 2 == 0:
+        if space.dist[u][v] % 2 == 0:
             continue
         odd_pairs += 1
         if len(bisector(space, u, v)) == 0:

@@ -3,17 +3,17 @@
 Two space sources, both fully determined by a random.Random instance:
 Erdos-Renyi graphs conditioned on connectivity (integer metrics), and
 shortest-path closures of randomly weighted complete graphs (rational
-metrics whose distances are dense enough for truncation to bite).  Both
-are metrics by construction, so their integer distances become the
-space directly, without `build_space`'s re-check or its 2-point warning.
+metrics whose distances are dense enough for truncation to bite).
 """
 
 from __future__ import annotations
 
 import random
+import warnings
+from fractions import Fraction
 
 from .graphs import Graph, _bfs, shortest_path_metric
-from .spaces import FiniteMetricSpace, _from_scaled
+from .spaces import FiniteMetricSpace, TwoPointSpaceWarning, build_space
 
 
 def _connected_graph(n: int, edges: list[tuple[int, int]]) -> Graph | None:
@@ -77,7 +77,10 @@ def random_rational_metric(n: int, rng: random.Random, max_weight: int = 8) -> F
                 detour = dum + row_mid[v]
                 if detour < row_u[v]:
                     row_u[v] = detour
-    return _from_scaled(tuple(f"x{i}" for i in range(n)), tuple(map(tuple, d)), 6)
+    labels = [f"x{i}" for i in range(n)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TwoPointSpaceWarning)
+        return build_space(labels, [[Fraction(x, 6) for x in row] for row in d])
 
 
 def random_space(n: int, rng: random.Random) -> FiniteMetricSpace:

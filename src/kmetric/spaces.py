@@ -137,9 +137,8 @@ class PointSet:
 
 @dataclass(frozen=True)
 class FiniteMetricSpace:
-    """n labeled points with an exact, symmetric distance matrix, stored as
-    `_int_dist`, the distances times `scale`, the lcm of their reduced
-    denominators.  The constructor trusts its input (see `build_space`)."""
+    """n labeled points; `_int_dist` holds the distances times `scale`, the lcm of
+    their reduced denominators.  Build one with `build_space` or `_from_scaled`."""
 
     labels: tuple[str, ...]
     _int_dist: tuple[tuple[int, ...], ...]
@@ -156,8 +155,7 @@ class FiniteMetricSpace:
     @cached_property
     def dist(self) -> tuple[tuple[Fraction, ...], ...]:
         """The distance matrix in fractions; each distinct value is built once."""
-        scale = self.scale
-        value = {x: Fraction(x, scale) for x in set().union(*self._int_dist)}
+        value = {x: Fraction(x, self.scale) for x in set().union(*self._int_dist)}
         return tuple(tuple(map(value.__getitem__, row)) for row in self._int_dist)
 
     @cached_property

@@ -9,7 +9,7 @@ into the result for debugging.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -133,7 +133,7 @@ def _random_join_parts(rng: random.Random, n: int):
     nb = rng.randint(2, n)
     a = random_rational_metric(na, rng)
     b = random_rational_metric(nb, rng)
-    b = FiniteMetricSpace(tuple(f"y{i}" for i in range(b.n)), b._int_dist, b.scale, b.meta)
+    b = replace(b, labels=tuple(f"y{i}" for i in range(b.n)))
     return a, b
 
 
