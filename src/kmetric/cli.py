@@ -221,13 +221,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if args.s is None or args.t is None or not 0 < args.s < args.t:
             raise KMetricError("custom truncation needs --s and --t with 0 < s < t")
         st_pair = (args.s, args.t)
+    budget_secs = args.budget_secs
+    if budget_secs is None and args.suite != "bipartite":
+        budget_secs = DEFAULT_BUDGET_SECS
     result = run_suite(
         args.suite,
         count=args.random,
         n=args.n,
         seed=args.seed,
         graphs=graphs,
-        budget_secs=args.budget_secs,
+        budget_secs=budget_secs,
         st_pair=st_pair,
     )
     payload = {
@@ -296,7 +299,8 @@ def _add_source(sub: argparse.ArgumentParser):
 def _add_common(sub: argparse.ArgumentParser, formats: tuple[str, ...] = ("json", "csv", "plain")):
     sub.add_argument("--format", choices=formats, default="plain")
     sub.add_argument("--budget-secs", dest="budget_secs", type=float, default=DEFAULT_BUDGET_SECS,
-                     help="per-level time budget in seconds, > 0; inf for no limit (default %(default)g)")
+                     help="per-level time budget in seconds, > 0; inf for no limit"
+                          f" (default {DEFAULT_BUDGET_SECS:g})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -322,6 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--family",
                         help="graph family token, checked instead of random graphs (bipartite suite)")
     _add_common(verify, ("json", "plain"))
+    # None tells a given flag from the default, which the bipartite suite does not take.
+    verify.set_defaults(budget_secs=None)
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--suite", choices=SUITE_NAMES, required=True)
     verify.add_argument("--random", type=int, default=None, help="number of random instances")
@@ -335,8 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
     group2 = join_cmd.add_mutually_exclusive_group()
     group2.add_argument("--family2", help="second input as a family token")
     group2.add_argument("--input2", help="second input as a file path")
-    join_cmd.add_argument("--k", type=int, default=None)
-    join_cmd.add_argument("--k-max", dest="k_max", type=int, default=1)
+    levels = join_cmd.add_mutually_exclusive_group()
+    levels.add_argument("--k", type=int, default=None)
+    levels.add_argument("--k-max", dest="k_max", type=int, default=1)
     join_cmd.add_argument("--t", type=Fraction, required=True, help="cross-part distance (rational)")
     return parser
 
@@ -352,7 +359,8 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if not args.budget_secs > 0:  # also rejects NaN, which would never expire
+        # None is verify's unset flag; `> 0` also rejects NaN, which would never expire.
+        if args.budget_secs is not None and not args.budget_secs > 0:
             raise KMetricError(f"--budget-secs must be > 0 (inf for no limit), got {args.budget_secs}")
         for name in ("t", "s"):
             _check_printable(f"--{name}", getattr(args, name, None))

@@ -81,7 +81,12 @@ def build_graph(labels: Iterable[str], edge_labels: Iterable[tuple[str, str]]) -
 
 
 def relabel_graph(g: Graph, mapping: dict[str, str]) -> Graph:
-    """Rename vertices; edge structure unchanged."""
+    """Rename vertices; edge structure unchanged.
+
+    The library never relabels a graph itself.  The function stays public
+    because the tests build relabeled copies with it and
+    `perfbench/tracing.py` lists it among the functions it times; the
+    benchmark's self-test fails when a listed function is missing."""
     labels = tuple(mapping.get(lab, lab) for lab in g.labels)
     return Graph(labels, g.edges)
 

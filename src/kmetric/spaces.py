@@ -114,7 +114,11 @@ class PointSet:
 
     @classmethod
     def from_mask(cls, mask: int) -> "PointSet":
-        return cls(tuple(_bits(mask)))
+        """The set bits of a non-negative mask.  `_bits` returns them sorted,
+        so the order check of the constructor is skipped."""
+        pset = object.__new__(cls)
+        object.__setattr__(pset, "indices", tuple(_bits(mask)))
+        return pset
 
     def to_mask(self) -> int:
         mask = 0
@@ -197,31 +201,27 @@ class DistinguisherMap:
 
     Pairs come in lexicographic order.  Each distinguisher set is a bitmask
     over the points, computed from `rows`, the distance matrix in
-    common-denominator integers.
+    common-denominator integers.  Both views, `masks` (one per pair) and
+    `columns` (one per point), are read from one text of n-digit binary
+    numerals built by the byte-field kernel `_distinguisher_text`.
     """
 
     rows: tuple[tuple[int, ...], ...]
 
     @cached_property
     def masks(self) -> tuple[int, ...]:
-        # Group each row by value; u and v tie at x exactly when x lies in
-        # the same value group of both rows.
-        groups = []
-        for row in self.rows:
-            group: dict[int, int] = {}
-            for x, value in enumerate(row):
-                group[value] = group.get(value, 0) | 1 << x
-            groups.append(group)
-        full = (1 << len(self.rows)) - 1
-        out = []
-        for u, group_u in enumerate(groups):
-            items = tuple(group_u.items())
-            for group_v in groups[u + 1:]:
-                same = 0
-                for value, mask in items:
-                    same |= mask & group_v.get(value, 0)
-                out.append(full ^ same)
-        return tuple(out)
+        n = len(self.rows)
+        text = _distinguisher_text(self.rows)
+        # Column x read downwards, last pair first, is the base-2 numeral of
+        # point x's pair mask.  It is cached now so the text is not kept.
+        vars(self)["columns"] = tuple(int(text[n - 1 - x::n][::-1], 2) for x in range(n))
+        return tuple([int(text[i:i + n], 2) for i in range(0, len(text), n)])
+
+    @cached_property
+    def columns(self) -> tuple[int, ...]:
+        """Per point, the mask over pair indices of the pairs it distinguishes."""
+        self.masks  # builds and caches the columns as well
+        return vars(self)["columns"]
 
     @cached_property
     def reduced_masks(self) -> tuple[int, ...]:
@@ -241,13 +241,8 @@ class DistinguisherMap:
         return tuple(combinations(range(len(self.rows)), 2))
 
     @cached_property
-    def columns(self) -> tuple[int, ...]:
-        """Per point, the mask over pair indices of the pairs it distinguishes."""
-        n = len(self.rows)
-        # One n-digit binary row per pair, last pair first; column x read
-        # downwards is then the base-2 numeral of point x's pair mask.
-        text = "".join(format(m, f"0{n}b") for m in reversed(self.masks))
-        return tuple(int(text[n - 1 - x::n], 2) for x in range(n))
+    def _min_size(self) -> int:
+        return min(map(int.bit_count, self.masks))
 
     def mask(self, u: int, v: int) -> int:
         u, v = min(u, v), max(u, v)
@@ -260,11 +255,54 @@ class DistinguisherMap:
         return PointSet.from_mask(self.mask(u, v))
 
     def min_size(self) -> int:
-        return min(m.bit_count() for m in self.masks)
+        """The size of the smallest distinguisher set."""
+        return self._min_size
 
     def __len__(self) -> int:
         n = len(self.rows)
         return n * (n - 1) // 2
+
+
+# bytes.translate table: a zero byte becomes "0", any other byte "1".
+_TIE_DIGITS = b"0" + b"1" * 255
+
+
+def _distinguisher_text(rows) -> bytearray:
+    """For each pair (u, v) in lexicographic order, the n-digit binary
+    numeral whose digit for point x is 1 exactly when rows[u][x] differs
+    from rows[v][x]; point n-1 comes first, so the numeral of a pair is its
+    distinguisher mask.  `rows` is any n x n integer matrix, n >= 2.
+
+    Byte-field kernel: each distinct value gets a code of W bytes, W the
+    least byte count that holds every code, and row u is n big-endian
+    fields, point n-1 first.  For one u, the rows v > u form one big int,
+    which is XORed with row u repeated: a field is nonzero exactly where
+    the two codes differ.  Folding each field into its low byte takes
+    d | d>>8 | ... | d>>8(W-1), every shift of the unfolded d (a running
+    fold would pull the next field's byte in at W = 3); keeping every W-th
+    byte and translating it to a digit gives the numerals of all pairs
+    (u, v) in one pass.
+    """
+    n = len(rows)
+    code = dict.fromkeys(chain.from_iterable(rows))  # the distinct values, first seen first
+    width = ((len(code) - 1).bit_length() + 7) // 8 or 1
+    for c, value in enumerate(code):
+        code[value] = c.to_bytes(width, "big")
+    # Joined row by row: bytes.join holds a buffer record per part.
+    table = b"".join([b"".join(map(code.__getitem__, reversed(row))) for row in rows])
+    del code  # keep only what the loop reads
+    whole = int.from_bytes(table, "big")
+    step = n * width
+    text = bytearray()
+    for u in range(n - 1):
+        rest = n - 1 - u  # the rows v > u, the low `rest * step` bytes of `whole`
+        row_u = int.from_bytes(table[u * step:(u + 1) * step] * rest, "big")
+        diff = (whole & ((1 << 8 * rest * step) - 1)) ^ row_u
+        folded = diff
+        for shift in range(8, 8 * width, 8):
+            folded |= diff >> shift
+        text += folded.to_bytes(rest * step, "big")[width - 1::width].translate(_TIE_DIGITS)
+    return text
 
 
 @dataclass(frozen=True)

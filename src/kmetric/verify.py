@@ -241,16 +241,16 @@ def run_suite(name: str, *, count: int | None = None, n: int | None = None, seed
 
     A `count` or `n` left None takes the suite's own default.  `graphs`
     (bipartite suite) and `st_pair` (truncation suite) are rejected for any
-    other suite, and `budget_secs` reaches every suite but the bipartite
-    one, which solves nothing."""
+    other suite, and `budget_secs` for the bipartite suite, which solves
+    nothing."""
     if name not in _SUITES:
         raise KMetricError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     if graphs is not None and name != "bipartite":
         raise KMetricError(f"only the bipartite suite checks given graphs, not the {name} suite")
     if st_pair is not None and name != "truncation":
         raise KMetricError(f"only the truncation suite reads an (s, t) pair, not the {name} suite")
-    options = {"count": count, "n": n, "seed": seed, "graphs": graphs,
+    if budget_secs is not None and name == "bipartite":
+        raise KMetricError("the bipartite suite solves nothing, so it takes no time budget")
+    options = {"count": count, "n": n, "seed": seed, "graphs": graphs, "budget_secs": budget_secs,
                "st_pairs": None if st_pair is None else (st_pair,)}
-    if name != "bipartite":
-        options["budget_secs"] = budget_secs
     return _SUITES[name](**{key: value for key, value in options.items() if value is not None})

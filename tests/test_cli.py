@@ -5,6 +5,7 @@ import json
 import pytest
 
 from kmetric import cli, solver, verify
+from kmetric.solver import DEFAULT_BUDGET_SECS
 from kmetric.verify import SuiteResult
 
 
@@ -237,6 +238,30 @@ class TestVerify:
         captured = capsys.readouterr()
         assert (captured.out, captured.err.splitlines()) == ("", [message])
 
+    @pytest.mark.parametrize("argv", [[], ["--family", "grid-ball:2,3"]], ids=["random", "family"])
+    def test_bipartite_takes_no_budget(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(verify, "random", None)  # any case drawn would crash
+        assert cli.main(["verify", "--suite", "bipartite", *argv, "--budget-secs", "5"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err.splitlines()) == (
+            "", ["error: the bipartite suite solves nothing, so it takes no time budget"])
+
+    @pytest.mark.parametrize("suite, argv, budget", [
+        ("monotonicity", [], DEFAULT_BUDGET_SECS),
+        ("join", ["--budget-secs", "5"], 5.0),
+        ("bipartite", [], None),
+    ])
+    def test_budget_reaching_run_suite(self, capsys, monkeypatch, suite, argv, budget):
+        seen = {}
+
+        def fake_run_suite(name, **kwargs):
+            seen.update(kwargs)
+            return SuiteResult(name, 0, ())
+
+        monkeypatch.setattr(cli, "run_suite", fake_run_suite)
+        assert cli.main(["verify", "--suite", suite, *argv]) == 0
+        assert seen["budget_secs"] == budget
+
     def test_family_graphs_skip_the_size_check(self, capsys):
         code, out = run(capsys, "verify", "--suite", "bipartite", "--family", "path:2", "--n", "1",
                         "--format", "json")
@@ -262,7 +287,7 @@ class TestJoin:
         data = json.loads(out)
         assert data["t"] == "1"
         assert data["space"]["labels"] == ["1", "3", "2", "4"]
-        row = data["table"][0]
+        [row] = data["table"]  # neither --k nor --k-max: k = 1 only
         assert row["sum"] == 2
         # the computed joined space is the 4-cycle, resolved by two points
         assert row["dim_join"] == 2
@@ -293,6 +318,16 @@ class TestJoin:
         with pytest.raises(SystemExit) as err:
             cli.main(["join", "--input", a, "--input2", b])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("order", [("--k", "2", "--k-max", "3"), ("--k-max", "3", "--k", "2")])
+    def test_k_and_k_max_exclude_each_other(self, capsys, monkeypatch, order):
+        monkeypatch.setattr(verify, "dim_exact", None)  # any solve would crash
+        with pytest.raises(SystemExit) as err:
+            cli.main(["join", "--family", "path:3", "--family2", "sqrt-primes:3", "--t", "1", *order,
+                      "--format", "csv"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not allowed with argument" in captured.err
 
 
 class TestSequenceAgainstBruteForce:

@@ -36,6 +36,7 @@ from kmetric.solver import (
     greedy_upper,
 )
 from kmetric.spaces import (
+    DistinguisherMap,
     PointSet,
     TwoPointSpaceWarning,
     _triangle_scan,
@@ -91,6 +92,52 @@ def reference_masks(space):
         du, dv = space.dist[u], space.dist[v]
         out.append(sum(1 << x for x in range(space.n) if du[x] != dv[x]))
     return tuple(out)
+
+
+def reference_row_masks(rows):
+    """The value-group loop the byte-field kernel replaced: u and v tie at
+    x exactly when x lies in the same value group of both rows."""
+    groups = []
+    for row in rows:
+        group = {}
+        for x, value in enumerate(row):
+            group[value] = group.get(value, 0) | 1 << x
+        groups.append(group)
+    full = (1 << len(rows)) - 1
+    out = []
+    for u, group_u in enumerate(groups):
+        for group_v in groups[u + 1:]:
+            same = 0
+            for value, mask in group_u.items():
+                same |= mask & group_v.get(value, 0)
+            out.append(full ^ same)
+    return tuple(out)
+
+
+def reference_columns(masks, n):
+    """Per point, the bitmask over pair indices of the masks that hold it."""
+    return tuple(sum(1 << p for p, m in enumerate(masks) if m >> x & 1) for x in range(n))
+
+
+def copied_rows(n, distinct, rng):
+    """An n x n integer matrix with exactly `distinct` values, 0..distinct-1.
+    Each cell below row 0 copies the cell above it with probability 1/2,
+    so rows tie at many points; the other cells take the values in turn,
+    then at random once every value is used."""
+    fresh = iter(range(distinct))
+    rows = []
+    for u in range(n):
+        row = []
+        for x in range(n):
+            if u and rng.random() < 0.5:
+                row.append(rows[u - 1][x])
+            else:
+                row.append(next(fresh, None))
+                if row[-1] is None:
+                    row[-1] = rng.randrange(distinct)
+        rows.append(tuple(row))
+    assert len(set().union(*rows)) == distinct
+    return tuple(rows)
 
 
 def reference_greedy(space, k):
@@ -329,6 +376,61 @@ class TestMasks:
     def test_mixed_denominators(self, d):
         space = build_space([f"p{i}" for i in range(len(d))], d)
         assert all_distinguishers(space).masks == reference_masks(space)
+
+    def test_value_groups_agree_with_the_definition(self):
+        for seed in range(20):
+            space = random_rational_metric(12, random.Random(seed))
+            assert reference_row_masks(space._int_dist) == reference_masks(space)
+
+    @pytest.mark.parametrize("distinct", [256, 257])
+    def test_code_width_edge(self, distinct):
+        # 256 values fit one-byte codes and 257 need two.  The rows are
+        # integers but no metric: the map compares values only.
+        for seed in range(5):
+            rows = copied_rows(24, distinct, random.Random(seed))
+            dmap = DistinguisherMap(rows)
+            assert dmap.masks == reference_row_masks(rows)
+            assert dmap.columns == reference_columns(dmap.masks, 24)
+
+    def test_every_two_byte_code_pair(self):
+        # Column x holds (u + x) mod 257 in row u, so every two of the 257
+        # values meet in some column, among them the codes 0 and 256, which
+        # agree in their low byte.  No two rows tie anywhere.
+        n = 257
+        rows = tuple(tuple((u + x) % n for x in range(n)) for u in range(n))
+        assert set(DistinguisherMap(rows).masks) == {(1 << n) - 1}
+
+    def test_three_byte_codes(self):
+        # 257 x 257 cells, all distinct except that rows 1 and 3 copy rows 0
+        # and 2 at even points: 65,791 values, so codes take three bytes.
+        # The twins tie at even points and differ at the odd ones next to
+        # them; every other pair differs everywhere, and each odd column
+        # holds 257 distinct codes, two of which share their low byte.
+        n = 257
+        rows = [[u * n + x for x in range(n)] for u in range(n)]
+        for twin in (1, 3):
+            for x in range(0, n, 2):
+                rows[twin][x] = rows[twin - 1][x]
+        rows = tuple(map(tuple, rows))
+        assert len(set().union(*rows)) > 1 << 16
+        dmap = DistinguisherMap(rows)
+        odd = sum(1 << x for x in range(1, n, 2))
+        twins = {dmap.pairs.index((0, 1)), dmap.pairs.index((2, 3))}
+        assert dmap.masks == tuple(odd if p in twins else (1 << n) - 1 for p in range(len(dmap)))
+        every_pair = (1 << len(dmap)) - 1
+        twin_bits = sum(1 << p for p in twins)
+        assert dmap.columns == tuple(every_pair ^ (0 if x % 2 else twin_bits) for x in range(n))
+        assert dmap.min_size() == len(range(1, n, 2))
+
+    @pytest.mark.parametrize("rows, mask", [
+        (((0, 5), (5, 0)), 0b11),
+        (((0, 1), (2, 1)), 0b01),
+        (((7, 7), (7, 7)), 0b00),
+    ])
+    def test_two_points(self, rows, mask):
+        dmap = DistinguisherMap(rows)
+        assert dmap.masks == (mask,)
+        assert dmap.columns == (mask & 1, mask >> 1)
 
     def test_get_rejects_a_non_pair(self):
         dmap = all_distinguishers(random_rational_metric(4, random.Random(1)))

@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ import hypothesis.strategies as st
 from kmetric import solver
 from kmetric.errors import InstanceTooLarge, KMetricError
 from kmetric.families import make_space, parse_family
+from kmetric.graphs import build_graph, shortest_path_metric
 from kmetric.solver import (
     INFINITY,
     DimensionSequence,
@@ -19,7 +21,7 @@ from kmetric.solver import (
     greedy_upper,
     sequence_with_reports,
 )
-from kmetric.spaces import all_distinguishers, is_k_generator, max_k, permute_space
+from kmetric.spaces import TwoPointSpaceWarning, all_distinguishers, is_k_generator, max_k, permute_space
 
 from conftest import metric_spaces
 
@@ -215,6 +217,83 @@ class TestBruteforce:
         with pytest.raises(InstanceTooLarge):
             dim_bruteforce(space, 1)
         assert dim_bruteforce(space, 1, cap=18) == 2
+
+
+def tree_metric_dimension(n, parent):
+    """dim_1 of the tree with edges (i, parent[i]), by the formula for
+    trees: 1 for a path, else the number of leaves minus the number of
+    exterior major vertices, those of degree >= 3 joined to some leaf by a
+    path of degree-2 vertices (Slater 1975; Harary & Melter 1976)."""
+    adjacent = [[] for _ in range(n)]
+    for child, par in parent.items():
+        adjacent[child].append(par)
+        adjacent[par].append(child)
+    leaves = [x for x in range(n) if len(adjacent[x]) == 1]
+    if max(map(len, adjacent)) <= 2:
+        return 1
+    exterior = set()
+    for leaf in leaves:
+        previous, x = leaf, adjacent[leaf][0]
+        while len(adjacent[x]) == 2:
+            previous, x = x, next(y for y in adjacent[x] if y != previous)
+        exterior.add(x)
+    return len(leaves) - len(exterior)
+
+
+class TestTreeOracle:
+    """Trees past BRUTEFORCE_CAP, where dim_bruteforce cannot check the
+    solver, against the closed form for dim_1 of a tree."""
+
+    @settings(max_examples=30)
+    @given(st.integers(min_value=solver.BRUTEFORCE_CAP + 1, max_value=120), st.integers(0, 2**20))
+    def test_random_recursive_trees(self, n, seed):
+        rng = random.Random(seed)
+        parent = {i: rng.randrange(i) for i in range(1, n)}
+        labels = [f"v{i}" for i in range(n)]
+        tree = build_graph(labels, [(labels[i], labels[j]) for i, j in parent.items()])
+        # Most trees close at the root, but a few in a thousand need a long
+        # search (n=120, seed 2000 is still bounded after 60 s), so the
+        # budget is short and a bounded interval must hold the value.
+        report = dim_exact(shortest_path_metric(tree), 1, budget_secs=2)
+        expected = tree_metric_dimension(n, parent)
+        if report.status == "optimal":
+            assert report.optimum == expected
+        else:
+            lower, upper = report.bounds
+            assert lower <= expected <= upper
+
+    def test_a_tree_that_needs_search(self):
+        # A tree that the root bounds do not close: 3,360 search nodes.
+        rng = random.Random(2661)
+        parent = {i: rng.randrange(i) for i in range(1, 69)}
+        labels = [f"v{i}" for i in range(69)]
+        tree = build_graph(labels, [(labels[i], labels[j]) for i, j in parent.items()])
+        report = dim_exact(shortest_path_metric(tree), 1)
+        assert report.status == "optimal" and report.nodes_explored > 0
+        assert report.optimum == tree_metric_dimension(69, parent)
+
+    @given(st.integers(min_value=2, max_value=12), st.integers(0, 2**20))
+    def test_formula_matches_brute_force_on_small_trees(self, n, seed):
+        rng = random.Random(seed)
+        parent = {i: rng.randrange(i) for i in range(1, n)}
+        labels = [f"v{i}" for i in range(n)]
+        tree = build_graph(labels, [(labels[i], labels[j]) for i, j in parent.items()])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TwoPointSpaceWarning)
+            space = shortest_path_metric(tree)
+        assert dim_bruteforce(space, 1) == tree_metric_dimension(n, parent)
+
+    def test_a_path(self):
+        labels = [f"v{i}" for i in range(40)]
+        path = build_graph(labels, zip(labels, labels[1:]))
+        assert tree_metric_dimension(40, {i: i - 1 for i in range(1, 40)}) == 1
+        assert dim_exact(shortest_path_metric(path), 1).optimum == 1
+
+    def test_a_spider(self):
+        # Three legs of length 6 at one centre: 3 leaves, 1 exterior major vertex.
+        parent = {1: 0, 7: 0, 13: 0}
+        parent.update({i: i - 1 for i in range(2, 19) if i not in parent})
+        assert tree_metric_dimension(19, parent) == 2
 
 
 class TestJoinDimensions:

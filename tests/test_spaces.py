@@ -444,7 +444,9 @@ class TestPointSet:
     @given(st.sets(st.integers(min_value=0, max_value=40)))
     def test_mask_roundtrip_random(self, indices):
         ps = PointSet.of(indices)
-        assert PointSet.from_mask(ps.to_mask()).indices == tuple(sorted(indices))
+        from_mask = PointSet.from_mask(ps.to_mask())
+        assert from_mask.indices == tuple(sorted(indices))
+        assert from_mask == ps and hash(from_mask) == hash(ps) and not from_mask < ps
 
     def test_rejects_unsorted_duplicates(self):
         with pytest.raises(FormatError):
