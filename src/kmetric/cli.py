@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -174,27 +175,14 @@ def cmd_sequence(args: argparse.Namespace) -> int:
     if args.family is not None and not truncated:
         expected = expected_sequence(parse_family(args.family))
     if expected is not None:
-        verdicts = []
-        for k, entry in enumerate(seq.entries, start=1):
-            if k <= len(expected.entries):
-                want = expected.entries[k - 1]
-                verdict = "PASS" if entry == want else "FAIL"
-            else:
-                want = "?"
-                verdict = "UNKNOWN" if expected.partial else "FAIL"  # expected infinite, computed finite
-            verdicts.append(verdict)
+        verdicts, tail_verdict, overall = expected.judge(seq)
+        for k, (entry, verdict) in enumerate(zip(seq.entries, verdicts), start=1):
+            want = expected.entries[k - 1] if k <= len(expected.entries) else "?"
             lines.append(f"k={k} dim={entry} expected={want} {verdict}")
-        tail_verdict = None
-        if not expected.partial:
-            tail_verdict = "PASS" if expected.tail_start == seq.tail_start else "FAIL"
+        if tail_verdict is not None:
             lines.append(f"k>={seq.tail_start} dim=inf expected tail {expected.tail_start} {tail_verdict}")
-        overall = "FAIL" if ("FAIL" in verdicts or tail_verdict == "FAIL") else "PASS"
         lines.append(f"overall: {overall}")
-        payload["expected"] = {
-            "entries": list(expected.entries),
-            "tail_start": expected.tail_start,
-            "partial": expected.partial,
-        }
+        payload["expected"] = asdict(expected)
         payload["verdicts"] = verdicts
         payload["tail_verdict"] = tail_verdict
         payload["overall"] = overall

@@ -9,19 +9,21 @@ construction.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Callable, NamedTuple
 
-from .errors import BadFamilyParams, KMetricError
+from .errors import BadFamilyParams, KMetricError, ZeroOffDiagonal
 from .graphs import Graph, build_graph, shortest_path_metric
-from .solver import DEFAULT_BUDGET_SECS, dim_exact
+from .solver import DEFAULT_BUDGET_SECS, DimensionSequence, dim_exact
 from .spaces import (
     DEFAULT_QUANTIZE_DIGITS,
     FiniteMetricSpace,
+    TwoPointSpaceWarning,
+    _from_scaled,
     bisector,
-    build_space,
 )
 
 
@@ -244,9 +246,13 @@ def _first_primes(count: int) -> list[int]:
     return primes
 
 
-def _quantized_sqrt(value: int, digits: int) -> Fraction:
-    scale = 10**digits
-    return Fraction(math.isqrt(value * scale * scale), scale)
+def _points_on_a_line(labels, coords, scale: int, meta=None) -> FiniteMetricSpace:
+    """The points at distinct integer `coords` / `scale` on the real line:
+    a metric by construction, so `build_space` does not re-check it."""
+    if len(coords) == 2:
+        warnings.warn("2-point spaces are degenerate for dimension analysis", TwoPointSpaceWarning, stacklevel=3)
+    z = tuple(tuple(abs(a - b) for b in coords) for a in coords)
+    return _from_scaled(tuple(labels), z, scale, meta)
 
 
 def make_sqrt_primes(count: int, *, digits: int = DEFAULT_QUANTIZE_DIGITS) -> FiniteMetricSpace:
@@ -257,18 +263,19 @@ def make_sqrt_primes(count: int, *, digits: int = DEFAULT_QUANTIZE_DIGITS) -> Fi
     coordinates, so the Euclidean structure survives intact.
     """
     primes = _first_primes(count)
-    coords = [_quantized_sqrt(p, digits) for p in primes]
+    scale = 10**digits
+    coords = [math.isqrt(p * scale * scale) for p in primes]
+    for i in range(count - 1):
+        if coords[i] == coords[i + 1]:  # too few digits merged two points
+            raise ZeroOffDiagonal(i, i + 1)
     labels = [f"sqrt({p})" for p in primes]
-    dist = tuple(tuple(abs(a - b) for b in coords) for a in coords)
-    return build_space(labels, dist, meta={"quantization_digits": digits})
+    return _points_on_a_line(labels, coords, scale, {"quantization_digits": digits})
 
 
 def make_interval_sample(count: int) -> FiniteMetricSpace:
     """Uniform rational sample of the unit interval: points i/(count-1)."""
-    coords = [Fraction(i, count - 1) for i in range(count)]
-    labels = [str(c) for c in coords]
-    dist = tuple(tuple(abs(a - b) for b in coords) for a in coords)
-    return build_space(labels, dist)
+    labels = [str(Fraction(i, count - 1)) for i in range(count)]
+    return _points_on_a_line(labels, range(count), count - 1)
 
 
 class _Family(NamedTuple):
@@ -308,6 +315,21 @@ class ExpectedSequence:
     entries: tuple[int, ...]
     tail_start: int | None
     partial: bool = False
+
+    def judge(self, seq: DimensionSequence) -> tuple[list[str], str | None, str]:
+        """(per-level verdicts, tail verdict, overall) of a computed sequence.
+
+        A level is PASS or FAIL against its claimed value; past the claimed
+        entries it is UNKNOWN for a partial claim and FAIL otherwise, where
+        the claim says infinite.  A partial claim has no tail verdict.
+        Overall is FAIL when any verdict is, and PASS otherwise.
+        """
+        verdicts = ["UNKNOWN" if self.partial else "FAIL"] * len(seq.entries)
+        for k, (entry, want) in enumerate(zip(seq.entries, self.entries)):
+            verdicts[k] = "PASS" if entry == want else "FAIL"
+        tail_verdict = None if self.partial else "PASS" if self.tail_start == seq.tail_start else "FAIL"
+        overall = "FAIL" if ("FAIL" in verdicts or tail_verdict == "FAIL") else "PASS"
+        return verdicts, tail_verdict, overall
 
 
 def expected_sequence(spec: FamilySpec) -> ExpectedSequence | None:

@@ -16,11 +16,11 @@ Search design (deterministic):
     residual requirement) are included without branching;
   * the incumbent is seeded by `greedy_upper`;
   * lower bounds: the coverage requirement itself, the previous dimension
-    plus one when solving a sequence level, a greedy packing of pairwise
-    disjoint distinguisher sets, and a decomposition bound that solves
-    support-disjoint constraint clusters exactly when their support is
-    small (memoized; one bit-parallel pass tests all subsets of the
-    support at once); the maximum of all applies;
+    plus one when solving a sequence level, and a decomposition bound that
+    solves support-disjoint constraint clusters exactly when their support
+    is small (memoized; one bit-parallel pass tests all subsets of the
+    support at once) and bounds a larger cluster by a greedy packing of
+    its pairwise disjoint distinguisher sets; the maximum of all applies;
   * when every cluster of a node's residual constraints was solved
     exactly, the node is closed: its best cover is the union of the
     clusters' lex-min covers, and nothing is branched on;
@@ -33,9 +33,9 @@ repeated runs are byte-identical.  Small instances, whose clusters are all
 solved exactly at the root, are answered by the cluster kernel alone: the
 union of the clusters' lex-min covers is the lex-min optimal set, and no
 search runs.  Otherwise, after the search proves the optimum, the basis is
-found by fix-and-probe on the same search: points are decided in index
-order, and a point is kept when an optimal cover still exists with it and
-the points kept so far, and without the points turned down so far.
+found by fix-and-probe on the same search object: points are decided in
+index order, and a point is kept when an optimal cover still exists with
+it and the points kept so far, and without the points turned down so far.
 """
 
 from __future__ import annotations
@@ -358,26 +358,20 @@ class _FloorReached(Exception):
 
 
 class _Search:
-    """DFS over point inclusions for one multicover instance.
+    """DFS over point inclusions for one level's multicover instance.
 
-    It looks for covers smaller than the incumbent.  A cover of at most
-    `floor` points ends it, because nothing smaller exists.  `cache`
-    memoizes cluster bounds and may be shared between searches.
+    One search serves the whole level: the main search and every lex-min
+    probe are runs of it, so `nodes` counts them all and the cluster-bound
+    `cache` is shared by the root bound, the search and the probes.  A run
+    looks for covers smaller than its incumbent; a cover of at most
+    `floor` points ends it, because nothing smaller exists.
     """
 
-    def __init__(self, constraints: Sequence[tuple[int, int]], incumbent_size: int,
-                 incumbent_mask: int, deadline: float | None, *, floor: int, cache: dict):
+    def __init__(self, constraints: Sequence[tuple[int, int]], deadline: float | None):
         self.constraints = constraints
-        self.best_size = incumbent_size
-        self.best_mask = incumbent_mask
         self.deadline = deadline
-        self.floor = floor
         self.nodes = 0
-        self.cache = cache
-
-    def _check_budget(self):
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise _BudgetExceeded
+        self.cache: dict = {}
 
     def _residuals(self, chosen: int, banned: int,
                    source: Sequence[tuple[int, int]]) -> tuple[int, list[tuple[int, int]]] | None:
@@ -410,8 +404,12 @@ class _Search:
             chosen |= forced
             source = residuals
 
-    def run(self, chosen: int = 0, banned: int = 0):
-        """Search the covers that contain `chosen` and avoid `banned`."""
+    def run(self, best_size: int, best_mask: int, floor: int, chosen: int = 0, banned: int = 0):
+        """Search the covers that contain `chosen` and avoid `banned`, from
+        the incumbent (`best_size`, `best_mask`) down to `floor`."""
+        self.best_size = best_size
+        self.best_mask = best_mask
+        self.floor = floor
         try:
             self._visit(chosen, banned, self.constraints)
         except _FloorReached:
@@ -427,7 +425,8 @@ class _Search:
 
     def _visit(self, chosen: int, banned: int, source: Sequence[tuple[int, int]]):
         self.nodes += 1
-        self._check_budget()
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise _BudgetExceeded
         found = self._residuals(chosen, banned, source)
         if found is None:
             return
@@ -451,49 +450,44 @@ class _Search:
             self._visit(chosen | (1 << points[j]), banned | excluded, residuals)
             excluded |= 1 << points[j]
 
+    def lex_min(self, target: int, witness: int) -> tuple[int, bool]:
+        """The lexicographically smallest cover of `target` points, the optimum.
 
-def _lex_min_cover(constraints: Sequence[tuple[int, int]], target: int, witness: int,
-                   deadline: float | None, cache: dict) -> tuple[int, int, bool]:
-    """The lexicographically smallest cover of `target` points, the optimum.
+        Fix-and-probe: the lowest undecided point x that could still help
+        (one in a constraint the fixed points leave unmet) is fixed when
+        some optimal cover contains x and the fixed points and avoids the
+        rejected ones, and rejected otherwise.  `witness` is always such a
+        cover, so a point in it is fixed without a probe; for any other
+        point a run with floor `target` looks for one, and a cover it finds
+        becomes the witness.  A point outside every unmet constraint is in
+        no optimal cover: dropping it would leave a smaller one.
 
-    Fix-and-probe: the lowest undecided point x that could still help
-    (one in a constraint the fixed points leave unmet) is fixed when some
-    optimal cover contains x and the fixed points and avoids the rejected
-    ones, and rejected otherwise.  `witness` is always such a cover, so a
-    point in it is fixed without a probe; for any other point a search
-    with floor `target` looks for one, and a cover it finds becomes the
-    witness.  A point outside every unmet constraint is in no optimal
-    cover: dropping it would leave a smaller one.
-
-    Returns (cover, nodes, finished).  If the deadline passes, finished is
-    False and the cover is the current witness: optimal, but not
-    necessarily lexicographically first.
-    """
-    fixed = rejected = 0
-    nodes = 0
-    while True:
-        support = 0
-        for mask, need in constraints:
-            if (mask & fixed).bit_count() < need:
-                support |= mask
-        support &= ~(fixed | rejected)
-        if not support:
-            return fixed, nodes, True
-        x = support & -support
-        if witness & x:
-            fixed |= x
-            continue
-        probe = _Search(constraints, target + 1, 0, deadline, floor=target, cache=cache)
-        try:
-            probe.run(fixed | x, rejected)
-        except _BudgetExceeded:
-            return witness, nodes + probe.nodes, False
-        nodes += probe.nodes
-        if probe.best_size <= target:
-            fixed |= x
-            witness = probe.best_mask
-        else:
-            rejected |= x
+        Returns (cover, finished).  If the deadline passes, finished is
+        False and the cover is the current witness: optimal, but not
+        necessarily lexicographically first.
+        """
+        fixed = rejected = 0
+        while True:
+            support = 0
+            for mask, need in self.constraints:
+                if (mask & fixed).bit_count() < need:
+                    support |= mask
+            support &= ~(fixed | rejected)
+            if not support:
+                return fixed, True
+            x = support & -support
+            if witness & x:
+                fixed |= x
+                continue
+            try:
+                self.run(target + 1, 0, target, fixed | x, rejected)
+            except _BudgetExceeded:
+                return witness, False
+            if self.best_size <= target:
+                fixed |= x
+                witness = self.best_mask
+            else:
+                rejected |= x
 
 
 def dim_exact(space: FiniteMetricSpace, k: int, *, budget_secs: float | None = DEFAULT_BUDGET_SECS,
@@ -505,8 +499,9 @@ def dim_exact(space: FiniteMetricSpace, k: int, *, budget_secs: float | None = D
     cover is the lex-min optimal basis and the report takes no nodes.
     Otherwise the search stops at the first cover as small as the root
     lower bound, and the basis is rebuilt as the lexicographically smallest
-    optimal set by fix-and-probe (`_lex_min_cover`).  The root bounds, the
-    search and the probes share one cluster-bound cache.
+    optimal set by fix-and-probe (`_Search.lex_min`).  One `_Search` serves
+    the level: the root bound reads its cluster cache, and the report's
+    node count is its `nodes`, main search and probes together.
 
     On budget exhaustion the report carries status "bounded" with the
     proven (lower, incumbent) interval instead of an exact optimum.  If
@@ -527,13 +522,11 @@ def dim_exact(space: FiniteMetricSpace, k: int, *, budget_secs: float | None = D
             nodes_explored=0, greedy_value=None, status="optimal",
         )
     greedy_value, greedy_set = greedy_upper(space, k)
-    constraints = [(m, k) for m in dmap.reduced_masks]
-    cache: dict = {}
+    search = _Search([(m, k) for m in dmap.reduced_masks], deadline)
     trace = [("requirement", k)]
     if prev_dim is not None:
         trace.append(("chain", prev_dim + 1))
-    trace.append(("packing", _packing_bound(constraints)))
-    cluster_value, cover = _cluster_bound(constraints, cache)
+    cluster_value, cover = _cluster_bound(search.constraints, search.cache)
     trace.append(("clusters", cluster_value))
     root_lb = max(value for _, value in trace)
     if root_lb > greedy_value:
@@ -548,24 +541,23 @@ def dim_exact(space: FiniteMetricSpace, k: int, *, budget_secs: float | None = D
             k=k, optimum=ExtendedNat(cluster_value), basis=PointSet.from_mask(cover),
             lower_bound_trace=tuple(trace), nodes_explored=0, greedy_value=greedy_value, status="optimal",
         )
-    search = _Search(constraints, greedy_value, greedy_set.to_mask(), deadline,
-                     floor=root_lb, cache=cache)
-    if root_lb < greedy_value:
+    optimum, witness = greedy_value, greedy_set.to_mask()
+    if root_lb < optimum:
         try:
-            search.run()
+            search.run(optimum, witness, root_lb)
         except _BudgetExceeded:
             return SolveReport(
                 k=k, optimum=ExtendedNat(search.best_size),
                 basis=PointSet.from_mask(search.best_mask),
                 lower_bound_trace=tuple(trace), nodes_explored=search.nodes,
                 greedy_value=greedy_value,
-                status="bounded", bounds=(max(root_lb, k), search.best_size),
+                status="bounded", bounds=(root_lb, search.best_size),
             )
-    basis_mask, lex_nodes, lex_finished = _lex_min_cover(
-        constraints, search.best_size, search.best_mask, deadline, cache)
+        optimum, witness = search.best_size, search.best_mask
+    basis_mask, lex_finished = search.lex_min(optimum, witness)
     return SolveReport(
-        k=k, optimum=ExtendedNat(search.best_size), basis=PointSet.from_mask(basis_mask),
-        lower_bound_trace=tuple(trace), nodes_explored=search.nodes + lex_nodes,
+        k=k, optimum=ExtendedNat(optimum), basis=PointSet.from_mask(basis_mask),
+        lower_bound_trace=tuple(trace), nodes_explored=search.nodes,
         greedy_value=greedy_value, status="optimal",
         basis_kind="lex_min" if lex_finished else "witness",
     )
@@ -583,16 +575,12 @@ def sequence_with_reports(space: FiniteMetricSpace, k_max: int | None = None, *,
     horizon = cap if k_max is None else min(k_max, cap)
     reports: list[SolveReport] = []
     prev: int | None = None
-    exact = True
     for k in range(1, horizon + 1):
         report = dim_exact(space, k, budget_secs=budget_secs, prev_dim=prev)
         reports.append(report)
         if report.status != "optimal":
-            exact = False
-            break
+            return None, reports
         prev = report.optimum.value
-    if not exact:
-        return None, reports
     entries = tuple(r.optimum for r in reports)
     return DimensionSequence(entries, tail_start=cap + 1), reports
 

@@ -76,11 +76,11 @@ class TestAnalyze:
         assert json.loads(out)["dim"] == 2
 
     @pytest.mark.parametrize("family, dim, nodes, trace, basis", [
-        ("grid-ball:2,5", 3, 248, [["requirement", 1], ["packing", 2], ["clusters", 2]],
+        ("grid-ball:2,5", 3, 248, [["requirement", 1], ["clusters", 2]],
          ["(-5,0)", "(-4,-1)", "(5,0)"]),
-        ("petersen", 3, 0, [["requirement", 1], ["packing", 1], ["clusters", 3]],
+        ("petersen", 3, 0, [["requirement", 1], ["clusters", 3]],
          ["u1", "u3", "v4"]),
-        ("free-ball:2,3", 24, 0, [["requirement", 1], ["packing", 12], ["clusters", 24]], None),
+        ("free-ball:2,3", 24, 0, [["requirement", 1], ["clusters", 24]], None),
     ])
     def test_bound_values_and_node_counts(self, capsys, family, dim, nodes, trace, basis):
         # The cluster bound decides these node counts: a weaker or different
@@ -97,8 +97,7 @@ class TestAnalyze:
 
     def test_lex_timeout_reports_witness(self, capsys, monkeypatch):
         # grid-ball:2,5 has root bound 2 below its optimum 3, so the lex phase runs.
-        monkeypatch.setattr(solver, "_lex_min_cover",
-                            lambda constraints, target, witness, deadline, cache: (witness, 0, False))
+        monkeypatch.setattr(solver._Search, "lex_min", lambda self, target, witness: (witness, False))
         code = cli.main(["analyze", "--family", "grid-ball:2,5", "--k", "1", "--format", "json"])
         captured = capsys.readouterr()
         assert code == 0

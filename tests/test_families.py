@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from kmetric import families
+from kmetric import cli, families
 from kmetric.errors import BadFamilyParams, KMetricError
 from kmetric.families import (
     _CLI_ALIASES,
@@ -278,6 +279,27 @@ class TestDivergenceEvidence:
         if code == 0:
             blocks = [block.splitlines() for block in proc.stdout.strip().split("\n\n")]
             assert [len(block) - 1 for block in blocks] == [2, 2, 3]  # radii per family
+
+
+class TestDimensionTables:
+    def test_closed_form_rows_match_the_cli(self, capsys):
+        # Each row with a closed form says PASS or FAIL by the same rule as
+        # `kmetric sequence`'s overall verdict.
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        proc = subprocess.run([sys.executable, str(root / "scripts" / "dimension_tables.py")],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stderr
+        judged = []
+        for line in proc.stdout.splitlines():
+            if "(no closed form)" not in line:
+                token, _, _, _, verdict = line.split()[:5]
+                judged.append((token, verdict))
+        assert len(judged) == 15
+        for token, verdict in judged:
+            assert cli.main(["sequence", "--family", token, "--format", "json"]) == 0
+            assert verdict == json.loads(capsys.readouterr().out)["overall"]
 
 
 class TestLollipopBases:

@@ -150,11 +150,9 @@ class TestDimExact:
         space = make_space(parse_family("path:3"))
         constraints = [(m, 1) for m in all_distinguishers(space).reduced_masks]
         assert constraints == [(0b101, 1)]
-        cover, _, finished = solver._lex_min_cover(constraints, 1, 0b100, None, {})
-        assert (cover, finished) == (0b001, True)
-        cover, _, finished = solver._lex_min_cover(
-            constraints, 1, 0b100, time.monotonic() - 1.0, {})
-        assert (cover, finished) == (0b100, False)
+        assert solver._Search(constraints, None).lex_min(1, 0b100) == (0b001, True)
+        cut = solver._Search(constraints, time.monotonic() - 1.0)
+        assert cut.lex_min(1, 0b100) == (0b100, False)
         assert dim_exact(space, 1).basis_kind == "lex_min"
 
     def test_bounded_on_zero_budget(self, monkeypatch):

@@ -19,7 +19,7 @@ from kmetric.errors import (
     TriangleViolation,
     ZeroOffDiagonal,
 )
-from kmetric.families import make_space, parse_family
+from kmetric.families import make_space, make_sqrt_primes, parse_family
 from kmetric.graphs import parse_edge_list, shortest_path_metric
 from kmetric.randgen import random_rational_metric
 from kmetric.spaces import (
@@ -333,8 +333,9 @@ _PARAMS = st.fractions(min_value=Fraction(1, 12), max_value=5, max_denominator=1
 
 
 class TestDerivedSpaces:
-    """truncate, join, permute_space and shortest_path_metric skip
-    build_space's checks; what they build must pass those checks anyway."""
+    """truncate, join, permute_space, shortest_path_metric and the
+    sqrt-primes and interval families skip build_space's checks; what they
+    build must pass those checks anyway."""
 
     @given(metric_spaces(), _PARAMS, st.none() | _PARAMS)
     def test_truncate(self, space, t, cutoff):
@@ -361,6 +362,19 @@ class TestDerivedSpaces:
     @given(connected_graphs())
     def test_shortest_path_metric(self, g):
         assert_rebuilds(shortest_path_metric(g))
+
+    @pytest.mark.parametrize("family", ["sqrt-primes", "interval"])
+    def test_points_on_a_line(self, family):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TwoPointSpaceWarning)
+            for count in range(2, 41):
+                assert_rebuilds(make_space(parse_family(f"{family}:{count}")))
+
+    def test_merged_sqrt_coordinates_are_rejected(self):
+        # at 1 digit, sqrt(137) and sqrt(139) both quantize to 11.7
+        with pytest.raises(ZeroOffDiagonal) as info:
+            make_sqrt_primes(60, digits=1)
+        assert info.value.indices == (32, 33)
 
     @given(st.integers(min_value=2, max_value=9), st.integers(min_value=0, max_value=2**20))
     def test_random_rational_metric(self, n, seed):
@@ -397,6 +411,11 @@ class TestTwoPointWarning:
         with pytest.warns(TwoPointSpaceWarning):
             space = shortest_path_metric(parse_edge_list("a b\n"))
         assert space.labels == ("a", "b") and space.dist[0][1] == 1
+
+    @pytest.mark.parametrize("family", ["sqrt-primes:2", "interval:2"])
+    def test_two_point_families_warn(self, family):
+        with pytest.warns(TwoPointSpaceWarning):
+            assert make_space(parse_family(family)).n == 2
 
     def test_derived_two_point_spaces_are_silent(self):
         with pytest.warns(TwoPointSpaceWarning):
