@@ -49,6 +49,14 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_VIOLATION = 4
 
+def _fraction(text: str) -> Fraction:
+    """argparse type for rational flags: 1/0, like any bad value, is a usage error."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
+
+
 def _check_printable(flag: str, value: Fraction | None) -> None:
     """Reject a value whose later str() would fail for its length."""
     if value is not None:
@@ -302,13 +310,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source(analyze)
     _add_common(analyze)
     analyze.add_argument("--k", type=int, default=None)
-    analyze.add_argument("--t", type=Fraction, default=None, help="truncate the space at t first")
+    analyze.add_argument("--t", type=_fraction, default=None, help="truncate the space at t first")
 
     sequence = commands.add_parser("sequence", help="full dimension sequence with expected verdicts")
     _add_source(sequence)
     _add_common(sequence)
     sequence.add_argument("--k-max", dest="k_max", type=int, default=None)
-    sequence.add_argument("--t", type=Fraction, default=None, help="truncate the space at t first")
+    sequence.add_argument("--t", type=_fraction, default=None, help="truncate the space at t first")
 
     verify = commands.add_parser("verify", help="run a theorem property suite")
     verify.add_argument("--family",
@@ -320,8 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--suite", choices=SUITE_NAMES, required=True)
     verify.add_argument("--random", type=int, default=None, help="number of random instances")
     verify.add_argument("--n", type=int, default=None, help="max instance size")
-    verify.add_argument("--s", type=Fraction, default=None, help="smaller truncation parameter")
-    verify.add_argument("--t", type=Fraction, default=None, help="larger truncation parameter")
+    verify.add_argument("--s", type=_fraction, default=None, help="smaller truncation parameter")
+    verify.add_argument("--t", type=_fraction, default=None, help="larger truncation parameter")
 
     join_cmd = commands.add_parser("join", help="join two spaces and compare dimensions")
     _add_source(join_cmd)
@@ -332,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     levels = join_cmd.add_mutually_exclusive_group()
     levels.add_argument("--k", type=int, default=None)
     levels.add_argument("--k-max", dest="k_max", type=int, default=1)
-    join_cmd.add_argument("--t", type=Fraction, required=True, help="cross-part distance (rational)")
+    join_cmd.add_argument("--t", type=_fraction, required=True, help="cross-part distance (rational)")
     return parser
 
 

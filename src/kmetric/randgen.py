@@ -58,15 +58,15 @@ def random_graph_metric(n: int, rng: random.Random) -> FiniteMetricSpace:
     return shortest_path_metric(random_connected_graph(n, rng))
 
 
-def random_rational_metric(n: int, rng: random.Random, max_weight: int = 8) -> FiniteMetricSpace:
+def random_rational_metric(n: int, rng: random.Random) -> FiniteMetricSpace:
     """Shortest-path closure of a complete graph with random rational weights."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    # Weights a/b with b in {1, 2, 3}; the closure runs on integers times 6.
+    # Weights a/b with a in 1..8, b in {1, 2, 3}; the closure runs on integers times 6.
     d = [[0] * n for _ in range(n)]
     for u in range(n):
         for v in range(u + 1, n):
-            num = rng.randint(1, max_weight)
+            num = rng.randint(1, 8)
             d[u][v] = d[v][u] = num * (6 // rng.randint(1, 3))
     for mid in range(n):
         row_mid = d[mid]

@@ -17,9 +17,9 @@ Search design (deterministic):
   * the incumbent is seeded by `greedy_upper`;
   * lower bounds: the coverage requirement itself, the previous dimension
     plus one when solving a sequence level, and a decomposition bound that
-    solves support-disjoint constraint clusters exactly when their support
-    is small (memoized; one bit-parallel pass tests all subsets of the
-    support at once) and bounds a larger cluster by a greedy packing of
+    solves support-disjoint constraint clusters exactly, in the space's own
+    points, when their support is small (memoized; one pass tests all its
+    subsets at once) and bounds a larger cluster by a greedy packing of
     its pairwise disjoint distinguisher sets; the maximum of all applies;
   * when every cluster of a node's residual constraints was solved
     exactly, the node is closed: its best cover is the union of the
@@ -262,43 +262,45 @@ def _subset_tables(size: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     return full, tuple(contains), tuple(by_size)
 
 
-def _exact_cluster_min(members: tuple[tuple[int, int], ...], size: int) -> tuple[int, int]:
-    """Minimum points of range(size) meeting every (mask, need) constraint,
-    and the lexicographically smallest subset of that size that does.
+def _exact_cluster_min(members: tuple[tuple[int, int], ...], support_mask: int) -> tuple[int, int]:
+    """Minimum points of `support_mask` meeting every (mask, need)
+    constraint, and the lexicographically smallest such cover, as a mask.
 
-    All subsets are tested at once, bit-parallel: layers[j] collects the
-    subsets that meet m at least j times, and `good` those that meet every
-    member.  The whole support meets every member, so some size is good.
-    Among the good subsets of the least size, keeping those that hold b,
-    for b ascending whenever some do, leaves the lex-min one.
-
-    Returns (value, subset mask).
+    All subsets of the support are tested at once, bit-parallel: layers[j]
+    collects the subsets that meet m at least j times, and `good` those
+    that meet every member.  The whole support meets every member, so some
+    size is good.  Among the good subsets of the least size, keeping those
+    that hold b, for support points b ascending whenever some do, leaves
+    the lex-min one; the points b kept make up the cover.
     """
-    full, contains, by_size = _subset_tables(size)
+    support = _bits(support_mask)
+    full, contains, by_size = _subset_tables(len(support))
+    holds = dict(zip(support, contains))
     good = full
     for m, need in members:
         layers = [full] + [0] * need
         for b in _bits(m):
-            holds_b = contains[b]
+            holds_b = holds[b]
             for j in range(need, 0, -1):
                 layers[j] |= layers[j - 1] & holds_b
         good &= layers[need]
     value = next(j for j, subsets in enumerate(by_size) if good & subsets)
     best = good & by_size[value]
-    for holds_b in contains:
+    cover = 0
+    for b, holds_b in zip(support, contains):
         narrowed = best & holds_b
         if narrowed:
             best = narrowed
-    return value, best.bit_length() - 1
+            cover |= 1 << b
+    return value, cover
 
 
 def _cluster_bound(residuals: Sequence[tuple[int, int]], cache: dict) -> tuple[int, int | None]:
     """Partition constraints into support-disjoint clusters and bound each.
 
-    Clusters whose support fits under COMPONENT_SUPPORT_CAP are solved
-    exactly (memoized on a support-relabeled key); larger ones fall back
-    to the disjoint-set packing bound.  Cluster bounds add up because the
-    clusters share no points.
+    Clusters of at most COMPONENT_SUPPORT_CAP points are solved exactly,
+    memoized on their distinct members as they are; larger ones fall back
+    to the packing bound.  Cluster bounds add up: clusters share no points.
 
     Returns (bound, cover).  When every cluster was solved exactly, the
     bound is the optimum and `cover` is the lex-min optimal cover: the
@@ -322,25 +324,15 @@ def _cluster_bound(residuals: Sequence[tuple[int, int]], cache: dict) -> tuple[i
     total = 0
     cover = 0
     for cmask, members in clusters:
-        support = _bits(cmask)
-        if len(support) <= COMPONENT_SUPPORT_CAP and len(members) <= 64:
-            pos = {b: i for i, b in enumerate(support)}
-            normalized = []
-            for m, need in members:
-                nm = 0
-                for b in _bits(m):
-                    nm |= 1 << pos[b]
-                normalized.append((nm, need))
-            key = tuple(sorted(set(normalized)))
+        if cmask.bit_count() <= COMPONENT_SUPPORT_CAP and len(members) <= 64:
+            key = tuple(sorted(set(members)))
             solved = cache.get(key)
             if solved is None:
-                solved = _exact_cluster_min(key, len(support))
-                cache[key] = solved
+                solved = cache[key] = _exact_cluster_min(key, cmask)
             value, subset = solved
             total += value
             if cover is not None:
-                for i in _bits(subset):
-                    cover |= 1 << support[i]
+                cover |= subset
         else:
             total += _packing_bound(members)
             cover = None

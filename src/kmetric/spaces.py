@@ -66,11 +66,11 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def as_rational(value, quantize_digits: int = DEFAULT_QUANTIZE_DIGITS) -> tuple[Fraction, bool]:
+def as_rational(value) -> tuple[Fraction, bool]:
     """Coerce a distance entry to an exact Fraction.
 
     Returns (fraction, quantized) where `quantized` is True iff the value
-    was a float that had to be rounded to `quantize_digits` decimal digits.
+    was a float that had to be rounded to DEFAULT_QUANTIZE_DIGITS decimal digits.
     Strings accept both rational ("3/2") and decimal ("1.5") notation.
     """
     if isinstance(value, Fraction):
@@ -82,10 +82,10 @@ def as_rational(value, quantize_digits: int = DEFAULT_QUANTIZE_DIGITS) -> tuple[
     if isinstance(value, float):
         if not math.isfinite(value):
             raise FormatError(f"distance entry {value!r} is not a finite number")
-        scale = 10**quantize_digits
+        scale = 10**DEFAULT_QUANTIZE_DIGITS
         scaled = value * scale
         if not math.isfinite(scaled):
-            raise FormatError(f"distance entry {value!r} is too large to quantize to {quantize_digits} digits")
+            raise FormatError(f"distance entry {value!r} is too large to quantize to {DEFAULT_QUANTIZE_DIGITS} digits")
         return Fraction(round(scaled), scale), True
     if isinstance(value, str):
         try:
@@ -322,7 +322,7 @@ class KGeneratorCertificate:
         return min(self.coverage.values())
 
 
-def build_space(labels, dist, meta=None, *, quantize_digits: int = DEFAULT_QUANTIZE_DIGITS) -> FiniteMetricSpace:
+def build_space(labels, dist, meta=None) -> FiniteMetricSpace:
     """Validate and construct a FiniteMetricSpace from raw input.
 
     Checks every invariant: distinct labels, zero diagonal, positive
@@ -364,9 +364,9 @@ def build_space(labels, dist, meta=None, *, quantize_digits: int = DEFAULT_QUANT
             if kind is int or kind is str:
                 value = memo.get(entry)
                 if value is None:
-                    value = memo[entry] = as_rational(entry, quantize_digits)[0]
+                    value = memo[entry] = as_rational(entry)[0]
             else:
-                value, was_quantized = as_rational(entry, quantize_digits)
+                value, was_quantized = as_rational(entry)
                 quantized = quantized or was_quantized
             cooked.append(value)
         matrix.append(tuple(cooked))
@@ -389,7 +389,7 @@ def build_space(labels, dist, meta=None, *, quantize_digits: int = DEFAULT_QUANT
         _raise_triangle(d, *first)
     meta = dict(meta or {})
     if quantized:
-        meta.setdefault("quantization_digits", quantize_digits)
+        meta.setdefault("quantization_digits", DEFAULT_QUANTIZE_DIGITS)
     return _from_scaled(labels, z, scale, meta)
 
 
@@ -461,6 +461,8 @@ def is_k_generator(space: FiniteMetricSpace, points: PointSet | Iterable[int], k
         raise NonpositiveParameter("k", k)
     pset = points if isinstance(points, PointSet) else PointSet.of(points)
     mask = pset.to_mask()
+    if mask >> space.n:
+        raise IndexError(f"point index out of range for n={space.n}: {pset.indices[-1]}")
     dmap = all_distinguishers(space)
     coverage: dict[tuple[int, int], int] = {}
     witness = None
@@ -544,7 +546,7 @@ def space_to_json_dict(space: FiniteMetricSpace) -> dict:
     }
 
 
-def space_from_json_dict(data: dict, *, quantize_digits: int = DEFAULT_QUANTIZE_DIGITS) -> FiniteMetricSpace:
+def space_from_json_dict(data: dict) -> FiniteMetricSpace:
     try:
         labels = data["labels"]
         distances = data["distances"]
@@ -557,18 +559,18 @@ def space_from_json_dict(data: dict, *, quantize_digits: int = DEFAULT_QUANTIZE_
         raise FormatError("space JSON 'distances' must be a list of lists")
     if meta is not None and not isinstance(meta, dict):
         raise FormatError("space JSON 'meta' must be an object")
-    return build_space(labels, distances, meta=meta, quantize_digits=quantize_digits)
+    return build_space(labels, distances, meta=meta)
 
 
 def dump_space(space: FiniteMetricSpace) -> str:
     return json.dumps(space_to_json_dict(space), indent=2, sort_keys=True)
 
 
-def load_space(text: str, *, quantize_digits: int = DEFAULT_QUANTIZE_DIGITS) -> FiniteMetricSpace:
+def load_space(text: str) -> FiniteMetricSpace:
     try:
         data = json.loads(text)
     except (ValueError, RecursionError) as exc:
         # ValueError covers JSONDecodeError and integers over the interpreter's
         # digit limit; RecursionError, nesting deeper than the decoder's stack.
         raise FormatError(f"invalid JSON: {exc}") from exc
-    return space_from_json_dict(data, quantize_digits=quantize_digits)
+    return space_from_json_dict(data)

@@ -21,9 +21,10 @@ from .randgen import (
     random_space,
 )
 from .solver import ExtendedNat, dim_exact, sequence_with_reports
-from .spaces import FiniteMetricSpace, bisector, join, space_to_json_dict, truncate
+from .spaces import FiniteMetricSpace, all_distinguishers, join, space_to_json_dict, truncate
 
 DEFAULT_ST_PAIRS = ((Fraction(1), Fraction(2)), (Fraction(1), Fraction(4)), (Fraction(2), Fraction(4)))
+SUITE_K_VALUES = (1, 2)
 
 
 @dataclass(frozen=True)
@@ -90,14 +91,14 @@ def monotonicity_suite(count: int = 100, n: int = 8, seed: int = 0, *,
 
 def truncation_suite(count: int = 50, n: int = 8, seed: int = 0, *,
                      st_pairs: Sequence[tuple[Fraction, Fraction]] = DEFAULT_ST_PAIRS,
-                     k_values: Sequence[int] = (1, 2),
                      budget_secs: float | None = None) -> SuiteResult:
     """Capping distances can only grow dimensions, and more aggressive caps
     only grow bisectors: for s < t, every bisector of d sits inside the
     bisector of d^t, which sits inside the bisector of d^s.
 
-    Per case, each cap is applied once, and each space's bisectors and
-    dim_k are computed once, however many (s, t) pairs share it."""
+    Bisectors grow exactly where distinguisher masks shrink, so the masks
+    are compared.  Per case, each cap is applied once, and each space's
+    masks and dim_k are computed once, however many (s, t) pairs share it."""
     _check_sizes("truncation", count, n, 3)
     rng = random.Random(seed)
     failures: list[dict] = []
@@ -105,20 +106,17 @@ def truncation_suite(count: int = 50, n: int = 8, seed: int = 0, *,
         size = rng.randint(3, n)
         space = random_rational_metric(size, rng)
         spaces = {None: space}  # cap -> truncated space; None is the plain one
-        for pair in st_pairs:
-            for cap in pair:
-                if cap not in spaces:
-                    spaces[cap] = truncate(space, cap)
-        bisectors = {cap: [set(bisector(capped, u, v)) for u, v in space.pairs()]
-                     for cap, capped in spaces.items()}
+        for cap in dict.fromkeys(cap for pair in st_pairs for cap in pair):
+            spaces[cap] = truncate(space, cap)
+        masks = {cap: all_distinguishers(capped).masks for cap, capped in spaces.items()}
         dims = {(cap, k): dim_exact(capped, k, budget_secs=budget_secs).optimum
-                for cap, capped in spaces.items() for k in k_values}
+                for cap, capped in spaces.items() for k in SUITE_K_VALUES}
         for s, t in st_pairs:
-            for (u, v), b_plain, b_t, b_s in zip(space.pairs(), bisectors[None], bisectors[t], bisectors[s]):
-                if not (b_plain <= b_t and b_t <= b_s):
+            for (u, v), m_plain, m_t, m_s in zip(space.pairs(), masks[None], masks[t], masks[s]):
+                if m_t & ~m_plain or m_s & ~m_t:
                     failures.append(_space_failure(
                         space, f"bisector nesting fails for pair ({u},{v}) at s={s}, t={t}", case=case))
-            for k in k_values:
+            for k in SUITE_K_VALUES:
                 d_plain, d_t, d_s = dims[None, k], dims[t, k], dims[s, k]
                 if not (d_s >= d_t >= d_plain):
                     failures.append(_space_failure(
@@ -148,7 +146,6 @@ def join_dimensions(a: FiniteMetricSpace, b: FiniteMetricSpace, joined: FiniteMe
 
 
 def join_suite(count: int = 50, n: int = 5, seed: int = 0, *,
-               k_values: Sequence[int] = (1, 2),
                budget_secs: float | None = None) -> SuiteResult:
     """Joining two spaces never loses dimension: the sum of the parts'
     dimensions bounds the joined dimension from below, through the
@@ -160,8 +157,8 @@ def join_suite(count: int = 50, n: int = 5, seed: int = 0, *,
         a, b = _random_join_parts(rng, n)
         t = Fraction(rng.randint(1, 10), rng.randint(1, 2))
         joined = join(a, b, t)
-        rows = join_dimensions(a, b, joined, t, k_values, budget_secs=budget_secs)
-        for k, (da, db, dat, dbt, dj) in zip(k_values, rows):
+        rows = join_dimensions(a, b, joined, t, SUITE_K_VALUES, budget_secs=budget_secs)
+        for k, (da, db, dat, dbt, dj) in zip(SUITE_K_VALUES, rows):
             if not (da + db <= dat + dbt and dat + dbt <= dj):
                 failures.append(_space_failure(
                     joined,
@@ -171,7 +168,6 @@ def join_suite(count: int = 50, n: int = 5, seed: int = 0, *,
 
 
 def join_trivial_suite(count: int = 20, n: int = 5, seed: int = 0, *,
-                       k_values: Sequence[int] = (1, 2),
                        budget_secs: float | None = None) -> SuiteResult:
     """With the cross distance beyond both diameters, dimensions add exactly."""
     _check_sizes("join-trivial", count, n, 2)
@@ -181,7 +177,7 @@ def join_trivial_suite(count: int = 20, n: int = 5, seed: int = 0, *,
         a, b = _random_join_parts(rng, n)
         t = max(a.diameter(), b.diameter()) + 1
         joined = join(a, b, t)
-        for k in k_values:
+        for k in SUITE_K_VALUES:
             da = dim_exact(a, k, budget_secs=budget_secs).optimum
             db = dim_exact(b, k, budget_secs=budget_secs).optimum
             dj = dim_exact(joined, k, budget_secs=budget_secs).optimum

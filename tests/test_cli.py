@@ -430,6 +430,20 @@ class TestErrors:
             "error: --s <fraction with 1-digit numerator and 20002-digit denominator>"
             " has too many digits to print"]
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["analyze", "--family", "path:6", "--k", "1", "--t", "1/0"], "--t"),
+        (["sequence", "--family", "path:4", "--t", "1/0"], "--t"),
+        (["join", "--family", "path:3", "--family2", "sqrt-primes:3", "--k", "1", "--t", "1/0"], "--t"),
+        (["verify", "--suite", "truncation", "--t", "1", "--s", "1/0"], "--s"),
+    ], ids=["analyze", "sequence", "join", "verify"])
+    def test_zero_denominator_is_a_usage_error(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].endswith(f"error: argument {flag}: invalid Fraction value: '1/0'")
+
     @pytest.mark.parametrize("argv, value", [
         (["sequence", "--family", "petersen"], "0"),
         (["sequence", "--family", "petersen"], "-2"),

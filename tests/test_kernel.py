@@ -27,12 +27,14 @@ from kmetric.errors import (
     TriangleViolation,
     ZeroOffDiagonal,
 )
+from kmetric.families import expected_sequence, make_space, parse_family
 from kmetric.randgen import random_rational_metric
 from kmetric.solver import (
     COMPONENT_SUPPORT_CAP,
     _cluster_bound,
     _exact_cluster_min,
     _subset_tables,
+    dim_exact,
     greedy_upper,
 )
 from kmetric.spaces import (
@@ -451,7 +453,33 @@ class TestClusterMin:
     @given(clusters())
     def test_same_minimum_as_the_subset_scan(self, cluster):
         members, size = cluster
-        assert _exact_cluster_min(members, size) == reference_cluster_min(members, size)
+        assert _exact_cluster_min(members, (1 << size) - 1) == reference_cluster_min(members, size)
+
+    @settings(max_examples=200)
+    @given(clusters(), st.data())
+    def test_scattered_support_gives_the_scan_through_the_support(self, cluster, data):
+        # The same cluster laid over `size` points spread anywhere in 0..69:
+        # the kernel works in those points and returns its cover in them.
+        members, size = cluster
+        support = sorted(data.draw(st.sets(st.integers(min_value=0, max_value=69),
+                                           min_size=size, max_size=size)))
+
+        def spread(mask):
+            return sum(1 << b for i, b in enumerate(support) if mask >> i & 1)
+
+        value, cover = reference_cluster_min(members, size)
+        scattered = tuple((spread(m), need) for m, need in members)
+        assert _exact_cluster_min(scattered, spread((1 << size) - 1)) == (value, spread(cover))
+
+    @pytest.mark.parametrize("k, value, nodes", [(11, 13, 3328), (12, 14, 2815)])
+    def test_cache_hits_keep_their_needs(self, k, value, nodes):
+        # cycle:22 solves the same clusters many times over, with different
+        # remaining needs: a cache keyed on the masks alone answers 11 at k=11.
+        space = make_space(parse_family("cycle:22"))
+        report = dim_exact(space, k, budget_secs=None)
+        assert report.optimum == value == expected_sequence(parse_family("cycle:22")).entries[k - 1]
+        assert report.nodes_explored == nodes
+        assert report.basis.labels(space) == tuple(f"v{i}" for i in range(1, value + 1))
 
     def test_cluster_covers_map_back_through_the_support(self):
         # Two clusters, {1, 3} and {20, 21}: each cover is its cluster's

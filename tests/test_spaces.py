@@ -207,6 +207,14 @@ class TestKGenerator:
         with pytest.raises(NonpositiveParameter):
             is_k_generator(discrete(3), [0], 0)
 
+    @pytest.mark.parametrize("points", [[0, 1, 2, 4, 5, 6, 7, 8, 9, 50], PointSet.of([3, 10])])
+    def test_points_outside_the_space_rejected(self, points):
+        # Without the check, bits past n meet no distinguisher mask, and
+        # the first set would pass on petersen as a valid 1-generator.
+        space = make_space(parse_family("petersen"))
+        with pytest.raises(IndexError, match=rf"point index out of range for n=10: {max(points)}$"):
+            is_k_generator(space, points, 1)
+
 
 class TestMaxK:
     def test_examples(self):

@@ -13,6 +13,8 @@ from kmetric.randgen import (
     random_connected_graph,
     random_rational_metric,
 )
+from kmetric import verify
+from kmetric.spaces import bisector, permute_space, truncate
 from kmetric.verify import (
     SuiteResult,
     bipartite_suite,
@@ -57,6 +59,31 @@ class TestSuites:
         result = truncation_suite(count=3, n=6, seed=1,
                                   st_pairs=((Fraction(1, 2), Fraction(3)),))
         assert result.passed
+
+    @pytest.mark.parametrize("fake", [
+        # d^1 stands in for d^2 and d^2 for d^1: a bisector under s may be
+        # smaller than under t.
+        lambda space, cap: truncate(space, 3 - cap),
+        # relabeled copies: the bisectors of a pair need not nest either way
+        lambda space, cap: permute_space(space, [(x + int(cap)) % space.n for x in range(space.n)]),
+    ], ids=["swapped-caps", "rotated"])
+    def test_truncation_reports_broken_nesting(self, monkeypatch, fake):
+        # The suite must report exactly the pairs whose bisector sets fail
+        # plain <= under t <= under s for the spaces it was given.
+        monkeypatch.setattr(verify, "truncate", fake)
+        result = truncation_suite(count=6, n=7, seed=0, st_pairs=((Fraction(1), Fraction(2)),))
+        reported = sorted((f["case"], f["detail"]) for f in result.failures
+                          if f["detail"].startswith("bisector nesting"))
+        expected = []
+        rng = random.Random(0)
+        for case in range(6):
+            space = random_rational_metric(rng.randint(3, 7), rng)
+            under_t, under_s = fake(space, Fraction(2)), fake(space, Fraction(1))
+            for u, v in space.pairs():
+                plain, b_t, b_s = (set(bisector(x, u, v)) for x in (space, under_t, under_s))
+                if not (plain <= b_t <= b_s):
+                    expected.append((case, f"bisector nesting fails for pair ({u},{v}) at s=1, t=2"))
+        assert expected and reported == sorted(expected)
 
     def test_join(self):
         result = join_suite(count=5, n=4, seed=0)
