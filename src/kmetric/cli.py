@@ -30,7 +30,14 @@ from pathlib import Path
 from .errors import FormatError, KMetricError, format_distance
 from .families import expected_sequence, make, make_space, parse_family
 from .graphs import Graph, parse_edge_list, shortest_path_metric
-from .solver import DEFAULT_BUDGET_SECS, DimensionSequence, dim_exact, sequence_with_reports
+from .solver import (
+    DEFAULT_BUDGET_SECS,
+    DimensionSequence,
+    ExtendedNat,
+    SolveReport,
+    dim_exact,
+    sequence_with_reports,
+)
 from .spaces import (
     FiniteMetricSpace,
     dump_space,
@@ -243,6 +250,25 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if result.passed else EXIT_VIOLATION
 
 
+def _interval(report: SolveReport) -> tuple[ExtendedNat, ExtendedNat]:
+    """A solve's dimension as (lower, upper): equal ends when it is exact,
+    the proven bound and the incumbent when the budget ran out."""
+    if report.status == "bounded":
+        return tuple(map(ExtendedNat, report.bounds))
+    return report.optimum, report.optimum
+
+
+def _interval_json(interval: tuple[ExtendedNat, ExtendedNat]) -> int | str | list:
+    """An exact value as itself, anything else as its [lower, upper] list."""
+    low, high = interval
+    return low.to_json() if low == high else [low.to_json(), high.to_json()]
+
+
+def _csv_cell(value) -> str:
+    # an interval's "[lower, upper]" holds a comma, so it is quoted
+    return f'"{value}"' if isinstance(value, list) else str(value)
+
+
 def cmd_join(args: argparse.Namespace) -> int:
     space_a, source_a = _load_source(args.family, args.input)
     space_b, source_b = _load_source(args.family2, args.input2, "--family2/--input2")
@@ -250,17 +276,23 @@ def cmd_join(args: argparse.Namespace) -> int:
     ks = [args.k] if args.k is not None else list(range(1, args.k_max + 1))
     rows = join_dimensions(space_a, space_b, joined, args.t, ks, budget_secs=args.budget_secs)
     table = []
-    for k, (da, db, dat, dbt, dj) in zip(ks, rows):
-        total = da + db
-        relation = "=" if total == dj else ("<" if total < dj else ">")
+    for k, reports in zip(ks, rows):
+        da, db, dat, dbt, dj = map(_interval, reports)
+        total = (da[0] + db[0], da[1] + db[1])
+        if total[1] < dj[0]:
+            relation = "<"
+        elif total[0] > dj[1]:
+            relation = ">"
+        else:
+            relation = "=" if total[0] == total[1] == dj[0] == dj[1] else "?"
         table.append({
             "k": k,
-            "dim_a": da.to_json(),
-            "dim_b": db.to_json(),
-            "sum": total.to_json(),
-            "dim_a_trunc": dat.to_json(),
-            "dim_b_trunc": dbt.to_json(),
-            "dim_join": dj.to_json(),
+            "dim_a": _interval_json(da),
+            "dim_b": _interval_json(db),
+            "sum": _interval_json(total),
+            "dim_a_trunc": _interval_json(dat),
+            "dim_b_trunc": _interval_json(dbt),
+            "dim_join": _interval_json(dj),
             "relation": relation,
         })
     payload = {
@@ -272,18 +304,18 @@ def cmd_join(args: argparse.Namespace) -> int:
         "space": space_to_json_dict(joined),
         "table": table,
     }
+    bounded = any(report.status == "bounded" for reports in rows for report in reports)
+    if bounded:
+        payload["status"] = "bounded"
     lines = [f"join {source_a} + {source_b} at t={args.t} (n={joined.n})", dump_space(joined)]
     for row in table:
         lines.append(
             f"k={row['k']}: dim_a={row['dim_a']} dim_b={row['dim_b']} sum={row['sum']}"
             f" dim_join={row['dim_join']} sum{row['relation']}join")
-    csv_rows = ["k,dim_a,dim_b,sum,dim_a_trunc,dim_b_trunc,dim_join,relation"]
-    csv_rows += [
-        f"{r['k']},{r['dim_a']},{r['dim_b']},{r['sum']},{r['dim_a_trunc']},{r['dim_b_trunc']},{r['dim_join']},{r['relation']}"
-        for r in table
-    ]
+    columns = ("k", "dim_a", "dim_b", "sum", "dim_a_trunc", "dim_b_trunc", "dim_join", "relation")
+    csv_rows = [",".join(columns)] + [",".join(_csv_cell(row[c]) for c in columns) for row in table]
     _emit(payload, args.format, lines, "\n".join(csv_rows) + "\n")
-    return EXIT_OK
+    return EXIT_BUDGET if bounded else EXIT_OK
 
 
 def _add_source(sub: argparse.ArgumentParser):

@@ -21,6 +21,11 @@ Search design (deterministic):
     points, when their support is small (memoized; one pass tests all its
     subsets at once) and bounds a larger cluster by a greedy packing of
     its pairwise disjoint distinguisher sets; the maximum of all applies;
+  * a search node takes its bounds cheapest first and stops at the first
+    that prunes it: the largest residual need, then the cluster sum with
+    cached values and packings, each uncached small cluster counted at its
+    largest need, then exact solves of those clusters while the node is
+    still open (the root solves every small cluster);
   * when every cluster of a node's residual constraints was solved
     exactly, the node is closed: its best cover is the union of the
     clusters' lex-min covers, and nothing is branched on;
@@ -295,18 +300,27 @@ def _exact_cluster_min(members: tuple[tuple[int, int], ...], support_mask: int) 
     return value, cover
 
 
-def _cluster_bound(residuals: Sequence[tuple[int, int]], cache: dict) -> tuple[int, int | None]:
+def _cluster_bound(residuals: Sequence[tuple[int, int]], cache: dict,
+                   limit: int | None = None) -> tuple[int, int | None]:
     """Partition constraints into support-disjoint clusters and bound each.
 
     Clusters of at most COMPONENT_SUPPORT_CAP points are solved exactly,
     memoized on their distinct members as they are; larger ones fall back
     to the packing bound.  Cluster bounds add up: clusters share no points.
 
+    With a `limit`, cached values and packings are summed first, and each
+    uncached small cluster counts its largest need (every cover of it has
+    that many points) until it is solved.  Those clusters are then solved
+    one by one, each solve cached, while the total stays below `limit`;
+    once it reaches `limit`, the bound is returned as it stands.  Without
+    a limit every small cluster is solved.
+
     Returns (bound, cover).  When every cluster was solved exactly, the
     bound is the optimum and `cover` is the lex-min optimal cover: the
     union of the clusters' lex-min covers, as the clusters share no points
-    and no optimal cover holds a point outside them.  Otherwise `cover` is
-    None.
+    and no optimal cover holds a point outside them.  `cover` is None when
+    some cluster was bounded by packing, or when the bound reached `limit`
+    before every small cluster was solved.
     """
     clusters: list[tuple[int, list[tuple[int, int]]]] = []  # (support mask, members)
     for mask, need in residuals:
@@ -323,11 +337,17 @@ def _cluster_bound(residuals: Sequence[tuple[int, int]], cache: dict) -> tuple[i
         clusters = rest
     total = 0
     cover = 0
+    queued = []  # (key, support mask, largest need) of clusters to solve
     for cmask, members in clusters:
         if cmask.bit_count() <= COMPONENT_SUPPORT_CAP and len(members) <= 64:
             key = tuple(sorted(set(members)))
             solved = cache.get(key)
             if solved is None:
+                if limit is not None:
+                    stand_in = max(need for _, need in key)
+                    queued.append((key, cmask, stand_in))
+                    total += stand_in
+                    continue
                 solved = cache[key] = _exact_cluster_min(key, cmask)
             value, subset = solved
             total += value
@@ -336,6 +356,13 @@ def _cluster_bound(residuals: Sequence[tuple[int, int]], cache: dict) -> tuple[i
         else:
             total += _packing_bound(members)
             cover = None
+    for key, cmask, stand_in in queued:
+        if total >= limit:
+            return total, None
+        value, subset = cache[key] = _exact_cluster_min(key, cmask)
+        total += value - stand_in
+        if cover is not None:
+            cover |= subset
     return total, cover
 
 
@@ -426,14 +453,17 @@ class _Search:
         if not residuals:
             self._record(chosen)
             return
-        bound, cover = _cluster_bound(residuals, self.cache)
+        # bounds from cheapest to dearest, stopping once one prunes
+        left = self.best_size - chosen.bit_count()
+        if max(need for _, need in residuals) >= left:
+            return
+        bound, cover = _cluster_bound(residuals, self.cache, left)
         if cover is not None:
             # every cluster was solved exactly: the best cover below this
             # node is known, so there is nothing to branch on
             self._record(chosen | cover)
             return
-        bound = max(max(need for _, need in residuals), bound)
-        if chosen.bit_count() + bound >= self.best_size:
+        if bound >= left:
             return
         rmask, rneed = min(residuals, key=lambda c: (c[0].bit_count(), c[0]))
         points = _bits(rmask)

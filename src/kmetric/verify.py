@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import KMetricError
 from .graphs import Graph, check_odd_distance_bisectors, format_edge_list
@@ -20,7 +20,7 @@ from .randgen import (
     random_rational_metric,
     random_space,
 )
-from .solver import ExtendedNat, dim_exact, sequence_with_reports
+from .solver import SolveReport, dim_exact, sequence_with_reports
 from .spaces import FiniteMetricSpace, all_distinguishers, join, space_to_json_dict, truncate
 
 DEFAULT_ST_PAIRS = ((Fraction(1), Fraction(2)), (Fraction(1), Fraction(4)), (Fraction(2), Fraction(4)))
@@ -98,7 +98,8 @@ def truncation_suite(count: int = 50, n: int = 8, seed: int = 0, *,
 
     Bisectors grow exactly where distinguisher masks shrink, so the masks
     are compared.  Per case, each cap is applied once, and each space's
-    masks and dim_k are computed once, however many (s, t) pairs share it."""
+    masks and dim_k are computed once, however many (s, t) pairs share it.
+    A solve that runs out of budget fails the case at its k."""
     _check_sizes("truncation", count, n, 3)
     rng = random.Random(seed)
     failures: list[dict] = []
@@ -109,15 +110,20 @@ def truncation_suite(count: int = 50, n: int = 8, seed: int = 0, *,
         for cap in dict.fromkeys(cap for pair in st_pairs for cap in pair):
             spaces[cap] = truncate(space, cap)
         masks = {cap: all_distinguishers(capped).masks for cap, capped in spaces.items()}
-        dims = {(cap, k): dim_exact(capped, k, budget_secs=budget_secs).optimum
-                for cap, capped in spaces.items() for k in SUITE_K_VALUES}
+        reports = {(cap, k): dim_exact(capped, k, budget_secs=budget_secs)
+                   for cap, capped in spaces.items() for k in SUITE_K_VALUES}
+        exhausted = [k for k in SUITE_K_VALUES if _bounded(reports[cap, k] for cap in spaces)]
+        for k in exhausted:
+            failures.append(_space_failure(space, f"budget exhausted at k={k}", case=case))
         for s, t in st_pairs:
             for (u, v), m_plain, m_t, m_s in zip(space.pairs(), masks[None], masks[t], masks[s]):
                 if m_t & ~m_plain or m_s & ~m_t:
                     failures.append(_space_failure(
                         space, f"bisector nesting fails for pair ({u},{v}) at s={s}, t={t}", case=case))
             for k in SUITE_K_VALUES:
-                d_plain, d_t, d_s = dims[None, k], dims[t, k], dims[s, k]
+                if k in exhausted:
+                    continue
+                d_plain, d_t, d_s = (reports[cap, k].optimum for cap in (None, t, s))
                 if not (d_s >= d_t >= d_plain):
                     failures.append(_space_failure(
                         space,
@@ -137,19 +143,26 @@ def _random_join_parts(rng: random.Random, n: int):
 
 def join_dimensions(a: FiniteMetricSpace, b: FiniteMetricSpace, joined: FiniteMetricSpace,
                     t: Fraction, k_values: Sequence[int], *,
-                    budget_secs: float | None = None) -> list[tuple[ExtendedNat, ...]]:
-    """Per k in k_values: dim_k of a, of b, of a and b truncated at t, and
-    of their join at t."""
+                    budget_secs: float | None = None) -> list[tuple[SolveReport, ...]]:
+    """Per k in k_values: the dim_k reports of a, of b, of a and b
+    truncated at t, and of their join at t.  A report whose status is
+    "bounded" holds only an interval, not the dimension."""
     spaces = (a, b, truncate(a, t), truncate(b, t), joined)
-    return [tuple(dim_exact(space, k, budget_secs=budget_secs).optimum for space in spaces)
+    return [tuple(dim_exact(space, k, budget_secs=budget_secs) for space in spaces)
             for k in k_values]
+
+
+def _bounded(reports: Iterable[SolveReport]) -> bool:
+    """Whether some solve ran out of budget before proving its optimum."""
+    return any(report.status == "bounded" for report in reports)
 
 
 def join_suite(count: int = 50, n: int = 5, seed: int = 0, *,
                budget_secs: float | None = None) -> SuiteResult:
     """Joining two spaces never loses dimension: the sum of the parts'
     dimensions bounds the joined dimension from below, through the
-    truncated dimensions."""
+    truncated dimensions.  A solve that runs out of budget fails the case
+    at its k."""
     _check_sizes("join", count, n, 2)
     rng = random.Random(seed)
     failures: list[dict] = []
@@ -158,7 +171,11 @@ def join_suite(count: int = 50, n: int = 5, seed: int = 0, *,
         t = Fraction(rng.randint(1, 10), rng.randint(1, 2))
         joined = join(a, b, t)
         rows = join_dimensions(a, b, joined, t, SUITE_K_VALUES, budget_secs=budget_secs)
-        for k, (da, db, dat, dbt, dj) in zip(SUITE_K_VALUES, rows):
+        for k, reports in zip(SUITE_K_VALUES, rows):
+            if _bounded(reports):
+                failures.append(_space_failure(joined, f"budget exhausted at k={k}", case=case))
+                continue
+            da, db, dat, dbt, dj = (report.optimum for report in reports)
             if not (da + db <= dat + dbt and dat + dbt <= dj):
                 failures.append(_space_failure(
                     joined,
@@ -169,7 +186,8 @@ def join_suite(count: int = 50, n: int = 5, seed: int = 0, *,
 
 def join_trivial_suite(count: int = 20, n: int = 5, seed: int = 0, *,
                        budget_secs: float | None = None) -> SuiteResult:
-    """With the cross distance beyond both diameters, dimensions add exactly."""
+    """With the cross distance beyond both diameters, dimensions add exactly.
+    A solve that runs out of budget fails the case at its k."""
     _check_sizes("join-trivial", count, n, 2)
     rng = random.Random(seed)
     failures: list[dict] = []
@@ -178,9 +196,11 @@ def join_trivial_suite(count: int = 20, n: int = 5, seed: int = 0, *,
         t = max(a.diameter(), b.diameter()) + 1
         joined = join(a, b, t)
         for k in SUITE_K_VALUES:
-            da = dim_exact(a, k, budget_secs=budget_secs).optimum
-            db = dim_exact(b, k, budget_secs=budget_secs).optimum
-            dj = dim_exact(joined, k, budget_secs=budget_secs).optimum
+            reports = [dim_exact(space, k, budget_secs=budget_secs) for space in (a, b, joined)]
+            if _bounded(reports):
+                failures.append(_space_failure(joined, f"budget exhausted at k={k}", case=case))
+                continue
+            da, db, dj = (report.optimum for report in reports)
             if dj != da + db:
                 failures.append(_space_failure(
                     joined, f"expected dim_{k} {da}+{db}, got {dj} (t={t})", case=case))

@@ -300,6 +300,21 @@ class TestJoin:
         for row in json.loads(out)["table"]:
             assert row["relation"] == "="
 
+    def test_budget_exhaustion_exit_code(self, capsys):
+        # Bounded solves print their [lower, incumbent] interval, never the
+        # incumbent alone; with the default budget dim_b_trunc is 3 and
+        # dim_join 6.
+        code, out = run(capsys, "join", "--family", "grid-ball:2,3", "--family2", "ladder:6",
+                        "--t", "3", "--k", "1", "--budget-secs", "1e-9", "--format", "json")
+        assert code == 3
+        data = json.loads(out)
+        assert data["status"] == "bounded"
+        [row] = data["table"]
+        for key, value in (("dim_b_trunc", 3), ("dim_join", 6)):
+            low, high = row[key]
+            assert low <= value <= high and low < high
+        assert row["relation"] == "?"
+
     def test_identical_labels_error(self, segments, capsys):
         a, _ = segments
         code, _ = run(capsys, "join", "--input", a, "--input2", a, "--t", "1")

@@ -12,13 +12,15 @@ same cluster minimum and lex-min subset.
 import random
 import warnings
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
-from operator import sub
+from operator import or_, sub
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from kmetric import solver
 from kmetric.errors import (
     AsymmetricDistance,
     FormatError,
@@ -28,7 +30,8 @@ from kmetric.errors import (
     ZeroOffDiagonal,
 )
 from kmetric.families import expected_sequence, make_space, parse_family
-from kmetric.randgen import random_rational_metric
+from kmetric.graphs import shortest_path_metric
+from kmetric.randgen import random_connected_graph, random_rational_metric
 from kmetric.solver import (
     COMPONENT_SUPPORT_CAP,
     _cluster_bound,
@@ -211,6 +214,20 @@ def clusters(draw):
         mask = draw(st.sampled_from(pool))
         members.append((mask, draw(st.integers(min_value=1, max_value=mask.bit_count()))))
     return tuple(members), size
+
+
+@st.composite
+def residual_lists(draw):
+    """Residual constraints of 1 to 4 drawn clusters, laid over disjoint
+    13-point blocks, and maybe a path of edges too wide to solve exactly,
+    in a drawn order."""
+    residuals = []
+    for block in range(draw(st.integers(min_value=1, max_value=4))):
+        members, _ = draw(clusters())
+        residuals.extend((mask << 13 * block, need) for mask, need in members[:8])
+    if draw(st.booleans()):
+        residuals.extend((0b11 << 60 + b, 1) for b in range(COMPONENT_SUPPORT_CAP))
+    return draw(st.permutations(residuals))
 
 
 @st.composite
@@ -502,6 +519,65 @@ class TestClusterMin:
                 assert [contains[b] >> s & 1 for b in range(size)] == [s >> b & 1 for b in range(size)]
                 assert [by_size[j] >> s & 1 for j in range(size + 1)] == [
                     int(s.bit_count() == j) for j in range(size + 1)]
+
+
+class TestLazyClusterBound:
+    """A search node stops solving clusters once its bound reaches the
+    limit; the root, with no limit, solves them all."""
+
+    @settings(max_examples=100)
+    @given(residual_lists(), st.data())
+    def test_a_limited_bound_is_the_eager_one_or_stops_at_the_limit(self, residuals, data):
+        eager, eager_cover = _cluster_bound(residuals, {})
+        cache = {}
+        for limit in data.draw(st.permutations(range(eager + 2))):
+            bound, cover = _cluster_bound(residuals, cache, limit)
+            assert (bound, cover) == (eager, eager_cover) or (
+                cover is None and limit <= bound <= eager)
+        for key, solved in cache.items():
+            assert solved == _exact_cluster_min(key, reduce(or_, (mask for mask, _ in key)))
+
+    @staticmethod
+    def counting_kernel(monkeypatch):
+        calls = []
+        kernel = solver._exact_cluster_min
+        monkeypatch.setattr(solver, "_exact_cluster_min", lambda *a: calls.append(a) or kernel(*a))
+        return calls
+
+    def test_kernel_calls_per_level(self, monkeypatch):
+        # Each level solves only the clusters of nodes that the largest
+        # need and the cached values leave open; solving every node's
+        # clusters would make [17, 20, 19, 11, 13, 11, 33, 4] calls.
+        calls = self.counting_kernel(monkeypatch)
+        space = make_space(parse_family("grid-ball:2,3"))
+        counts = []
+        nodes = []
+        prev = None
+        for k in range(1, max_k(space) + 1):
+            del calls[:]
+            report = dim_exact(space, k, prev_dim=prev)
+            prev = report.optimum.value
+            counts.append(len(calls))
+            nodes.append(report.nodes_explored)
+        assert counts == [0, 0, 2, 1, 1, 1, 1, 1]
+        assert nodes == [73, 123, 89, 116, 68, 62, 66, 8]
+
+    @pytest.mark.parametrize("k, calls_made, nodes", [(11, 1170, 3328), (12, 985, 2815)])
+    def test_kernel_calls_on_a_cycle(self, monkeypatch, k, calls_made, nodes):
+        # Solving every node's clusters would make 1,962 and 1,644 calls.
+        calls = self.counting_kernel(monkeypatch)
+        report = dim_exact(make_space(parse_family("cycle:22")), k, budget_secs=None)
+        assert (len(calls), report.nodes_explored) == (calls_made, nodes)
+
+    @pytest.mark.parametrize("n, seed, calls_made, nodes", [(15, 19, 1, 7), (16, 12, 2, 15)])
+    def test_kernel_calls_on_sparse_graphs(self, monkeypatch, n, seed, calls_made, nodes):
+        # Nodes whose residuals split into several clusters: a bound that
+        # has just reached the limit solves no further cluster (solving on
+        # while it only equals the limit makes 5 calls in each case).
+        calls = self.counting_kernel(monkeypatch)
+        graph = random_connected_graph(n, random.Random(seed), edge_prob=0.15)
+        report = dim_exact(shortest_path_metric(graph), 1)
+        assert (len(calls), report.nodes_explored) == (calls_made, nodes)
 
 
 class TestRandomRationalMetric:

@@ -11,6 +11,7 @@ from kmetric import solver
 from kmetric.errors import InstanceTooLarge, KMetricError
 from kmetric.families import make_space, parse_family
 from kmetric.graphs import build_graph, shortest_path_metric
+from kmetric.randgen import random_connected_graph
 from kmetric.solver import (
     INFINITY,
     DimensionSequence,
@@ -195,6 +196,35 @@ class TestKernelClosure:
         space = make_space(parse_family("grid-ball:2,3"))
         _, reports = sequence_with_reports(space)
         assert [r.nodes_explored for r in reports] == [73, 123, 89, 116, 68, 62, 66, 8]
+
+
+def sparse_graph_space(n, seed):
+    return shortest_path_metric(random_connected_graph(n, random.Random(seed), edge_prob=0.15))
+
+
+class TestSparseGraphs:
+    """Sparse graphs split their residual constraints into several small
+    clusters, so search nodes close on a union of cluster covers or stop
+    part way through solving their clusters."""
+
+    @pytest.mark.parametrize("n", range(12, 17))
+    def test_matches_bruteforce(self, n):
+        for seed in range(20):
+            space = sparse_graph_space(n, seed)
+            for k in range(1, min(2, max_k(space)) + 1):
+                report = dim_exact(space, k)
+                assert len(report.basis) == report.optimum.value
+                assert is_k_generator(space, report.basis, k).valid
+                assert report.optimum == dim_bruteforce(space, k), (n, seed, k)
+
+    def test_a_node_stopped_part_way_leaves_no_cover(self):
+        # A node bound cut short once it reaches the incumbent must not
+        # close on the covers of the clusters solved so far: taking them
+        # as the node's best cover reports dim 1 with basis g2.
+        space = sparse_graph_space(13, 37)
+        report = dim_exact(space, 1)
+        assert report.optimum == 3 == dim_bruteforce(space, 1)
+        assert report.basis.labels(space) == ("g0", "g1", "g6")
 
 
 class TestBruteforce:

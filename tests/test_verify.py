@@ -108,6 +108,19 @@ class TestSuites:
         assert a == b
 
 
+class TestBudgetExhaustion:
+    # A 1e-9 s budget has passed by the first search node, so every solve
+    # the root bounds do not close is bounded, and its case fails.
+    @pytest.mark.parametrize("suite, count, n", [("truncation", 13, 14), ("join", 60, 8),
+                                                 ("join-trivial", 10, 14)])
+    def test_a_bounded_solve_fails_its_case(self, suite, count, n):
+        result = run_suite(suite, count=count, n=n, seed=3, budget_secs=1e-9)
+        assert not result.passed
+        assert {f["detail"] for f in result.failures} <= {
+            "budget exhausted at k=1", "budget exhausted at k=2"}
+        assert run_suite(suite, count=count, n=n, seed=3).passed
+
+
 class TestRunSuite:
     def test_dispatch(self):
         result = run_suite("monotonicity", count=3, n=5, seed=0)
