@@ -9,9 +9,10 @@ wall time, the node count, the optimum and the basis labels; the file also
 records the Python version and `os.cpu_count()`.  Before anything is
 written, every optimum must equal its known value, every basis must be a
 k-generator of that size, and both must equal those of the same row in the
-newest earlier BENCH_*.json at the repository root, if there is one.  On
-any disagreement nothing is written and the exit code is 1.  A run takes
-about a minute.
+newest BENCH_<m>.json at the repository root with m <= NUMBER, if there is
+one; a rerun at the same NUMBER is thus checked against the file it is
+about to replace.  On any disagreement nothing is written and the exit
+code is 1.  A run takes about a minute.
 """
 
 import json
@@ -85,11 +86,11 @@ def measure(name, build, k):
 
 
 def previous_file():
-    """The newest BENCH_<m>.json at the repository root with m < NUMBER, or None."""
+    """The newest BENCH_<m>.json at the repository root with m <= NUMBER, or None."""
     numbered = []
     for path in ROOT.glob("BENCH_*.json"):
         match = re.fullmatch(r"BENCH_(\d+)\.json", path.name)
-        if match and int(match.group(1)) < NUMBER:
+        if match and int(match.group(1)) <= NUMBER:
             numbered.append((int(match.group(1)), path))
     return max(numbered)[1] if numbered else None
 

@@ -48,7 +48,7 @@ from .spaces import (
     space_to_json_dict,
     truncate,
 )
-from .verify import SUITE_NAMES, join_dimensions, run_suite
+from .verify import SUITE_NAMES, bounded, join_dimensions, run_suite
 
 SCHEMA = 1
 EXIT_OK = 0
@@ -253,7 +253,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _interval(report: SolveReport) -> tuple[ExtendedNat, ExtendedNat]:
     """A solve's dimension as (lower, upper): equal ends when it is exact,
     the proven bound and the incumbent when the budget ran out."""
-    if report.status == "bounded":
+    if bounded([report]):
         return tuple(map(ExtendedNat, report.bounds))
     return report.optimum, report.optimum
 
@@ -304,8 +304,8 @@ def cmd_join(args: argparse.Namespace) -> int:
         "space": space_to_json_dict(joined),
         "table": table,
     }
-    bounded = any(report.status == "bounded" for reports in rows for report in reports)
-    if bounded:
+    exhausted = bounded(report for reports in rows for report in reports)
+    if exhausted:
         payload["status"] = "bounded"
     lines = [f"join {source_a} + {source_b} at t={args.t} (n={joined.n})", dump_space(joined)]
     for row in table:
@@ -315,7 +315,7 @@ def cmd_join(args: argparse.Namespace) -> int:
     columns = ("k", "dim_a", "dim_b", "sum", "dim_a_trunc", "dim_b_trunc", "dim_join", "relation")
     csv_rows = [",".join(columns)] + [",".join(_csv_cell(row[c]) for c in columns) for row in table]
     _emit(payload, args.format, lines, "\n".join(csv_rows) + "\n")
-    return EXIT_BUDGET if bounded else EXIT_OK
+    return EXIT_BUDGET if exhausted else EXIT_OK
 
 
 def _add_source(sub: argparse.ArgumentParser):

@@ -308,12 +308,12 @@ def _cluster_bound(residuals: Sequence[tuple[int, int]], cache: dict,
     memoized on their distinct members as they are; larger ones fall back
     to the packing bound.  Cluster bounds add up: clusters share no points.
 
-    With a `limit`, cached values and packings are summed first, and each
-    uncached small cluster counts its largest need (every cover of it has
-    that many points) until it is solved.  Those clusters are then solved
-    one by one, each solve cached, while the total stays below `limit`;
-    once it reaches `limit`, the bound is returned as it stands.  Without
-    a limit every small cluster is solved.
+    Cached values and packings are summed first, and each uncached small
+    cluster counts its largest need (every cover of it has that many
+    points) until it is solved.  Those clusters are then solved one by
+    one, each solve cached.  With a `limit`, the bound is returned as it
+    stands once the total reaches `limit`; without one every small
+    cluster is solved.
 
     Returns (bound, cover).  When every cluster was solved exactly, the
     bound is the optimum and `cover` is the lex-min optimal cover: the
@@ -343,12 +343,10 @@ def _cluster_bound(residuals: Sequence[tuple[int, int]], cache: dict,
             key = tuple(sorted(set(members)))
             solved = cache.get(key)
             if solved is None:
-                if limit is not None:
-                    stand_in = max(need for _, need in key)
-                    queued.append((key, cmask, stand_in))
-                    total += stand_in
-                    continue
-                solved = cache[key] = _exact_cluster_min(key, cmask)
+                stand_in = max(need for _, need in key)
+                queued.append((key, cmask, stand_in))
+                total += stand_in
+                continue
             value, subset = solved
             total += value
             if cover is not None:
@@ -357,7 +355,7 @@ def _cluster_bound(residuals: Sequence[tuple[int, int]], cache: dict,
             total += _packing_bound(members)
             cover = None
     for key, cmask, stand_in in queued:
-        if total >= limit:
+        if limit is not None and total >= limit:
             return total, None
         value, subset = cache[key] = _exact_cluster_min(key, cmask)
         total += value - stand_in

@@ -112,7 +112,7 @@ def truncation_suite(count: int = 50, n: int = 8, seed: int = 0, *,
         masks = {cap: all_distinguishers(capped).masks for cap, capped in spaces.items()}
         reports = {(cap, k): dim_exact(capped, k, budget_secs=budget_secs)
                    for cap, capped in spaces.items() for k in SUITE_K_VALUES}
-        exhausted = [k for k in SUITE_K_VALUES if _bounded(reports[cap, k] for cap in spaces)]
+        exhausted = [k for k in SUITE_K_VALUES if bounded(reports[cap, k] for cap in spaces)]
         for k in exhausted:
             failures.append(_space_failure(space, f"budget exhausted at k={k}", case=case))
         for s, t in st_pairs:
@@ -152,7 +152,7 @@ def join_dimensions(a: FiniteMetricSpace, b: FiniteMetricSpace, joined: FiniteMe
             for k in k_values]
 
 
-def _bounded(reports: Iterable[SolveReport]) -> bool:
+def bounded(reports: Iterable[SolveReport]) -> bool:
     """Whether some solve ran out of budget before proving its optimum."""
     return any(report.status == "bounded" for report in reports)
 
@@ -172,7 +172,7 @@ def join_suite(count: int = 50, n: int = 5, seed: int = 0, *,
         joined = join(a, b, t)
         rows = join_dimensions(a, b, joined, t, SUITE_K_VALUES, budget_secs=budget_secs)
         for k, reports in zip(SUITE_K_VALUES, rows):
-            if _bounded(reports):
+            if bounded(reports):
                 failures.append(_space_failure(joined, f"budget exhausted at k={k}", case=case))
                 continue
             da, db, dat, dbt, dj = (report.optimum for report in reports)
@@ -197,7 +197,7 @@ def join_trivial_suite(count: int = 20, n: int = 5, seed: int = 0, *,
         joined = join(a, b, t)
         for k in SUITE_K_VALUES:
             reports = [dim_exact(space, k, budget_secs=budget_secs) for space in (a, b, joined)]
-            if _bounded(reports):
+            if bounded(reports):
                 failures.append(_space_failure(joined, f"budget exhausted at k={k}", case=case))
                 continue
             da, db, dj = (report.optimum for report in reports)
