@@ -24,6 +24,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from functools import cache
 from fractions import Fraction
 from pathlib import Path
 
@@ -331,7 +332,10 @@ def _add_common(sub: argparse.ArgumentParser, formats: tuple[str, ...] = ("json"
                           f" (default {DEFAULT_BUDGET_SECS:g})")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one: parsing reads it and changes nothing in it."""
     parser = argparse.ArgumentParser(
         prog="kmetric",
         description="bisectors, k-metric generators and dimension sequences of finite metric spaces",

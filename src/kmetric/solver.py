@@ -310,7 +310,7 @@ def _cluster_bound(residuals: Sequence[tuple[int, int]], cache: dict,
 
     Cached values and packings are summed first, and each uncached small
     cluster counts its largest need (every cover of it has that many
-    points) until it is solved.  Those clusters are then solved one by
+    points), kept as the clusters merge, until it is solved.  Those clusters are then solved one by
     one, each solve cached.  With a `limit`, the bound is returned as it
     stands once the total reaches `limit`; without one every small
     cluster is solved.
@@ -322,30 +322,33 @@ def _cluster_bound(residuals: Sequence[tuple[int, int]], cache: dict,
     some cluster was bounded by packing, or when the bound reached `limit`
     before every small cluster was solved.
     """
-    clusters: list[tuple[int, list[tuple[int, int]]]] = []  # (support mask, members)
+    # (support mask, members, largest need); a merge keeps the largest need
+    clusters: list[tuple[int, list[tuple[int, int]], int]] = []
     for mask, need in residuals:
         merged_mask = mask
         merged_members = [(mask, need)]
+        top = need
         rest = []
-        for cmask, members in clusters:
+        for cmask, members, ctop in clusters:
             if cmask & mask:
                 merged_mask |= cmask
                 merged_members.extend(members)
+                if ctop > top:
+                    top = ctop
             else:
-                rest.append((cmask, members))
-        rest.append((merged_mask, merged_members))
+                rest.append((cmask, members, ctop))
+        rest.append((merged_mask, merged_members, top))
         clusters = rest
     total = 0
     cover = 0
     queued = []  # (key, support mask, largest need) of clusters to solve
-    for cmask, members in clusters:
+    for cmask, members, top in clusters:
         if cmask.bit_count() <= COMPONENT_SUPPORT_CAP and len(members) <= 64:
             key = tuple(sorted(set(members)))
             solved = cache.get(key)
             if solved is None:
-                stand_in = max(need for _, need in key)
-                queued.append((key, cmask, stand_in))
-                total += stand_in
+                queued.append((key, cmask, top))
+                total += top
                 continue
             value, subset = solved
             total += value

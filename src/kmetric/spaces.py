@@ -484,6 +484,8 @@ def truncate(space: FiniteMetricSpace, t, cutoff=None) -> FiniteMetricSpace:
 
     The default cutoff of 2t is the one used by the join construction; the
     parameter is explicit so the alternative single-t reading can be tested.
+    A cap at or above the diameter changes nothing, and `space` itself is
+    returned, with the distinguisher map it may already hold.
     """
     t = Fraction(t)
     if t <= 0:
@@ -491,6 +493,8 @@ def truncate(space: FiniteMetricSpace, t, cutoff=None) -> FiniteMetricSpace:
     cap = Fraction(cutoff) if cutoff is not None else 2 * t
     if cap <= 0:
         raise NonpositiveParameter("cutoff", cap)
+    if cap >= space.diameter():
+        return space
     scale = math.lcm(space.scale, cap.denominator)
     up, top = scale // space.scale, cap.numerator * (scale // cap.denominator)
     z = tuple(tuple(min(x * up, top) for x in row) for row in space._int_dist)

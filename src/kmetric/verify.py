@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import KMetricError
 from .graphs import Graph, check_odd_distance_bisectors, format_edge_list
@@ -66,6 +66,22 @@ def _space_failure(space: FiniteMetricSpace, detail: str, **extra) -> dict:
     return out
 
 
+def _case_solver(budget_secs: float | None) -> Callable[[FiniteMetricSpace, int], SolveReport]:
+    """`dim_exact` for the spaces of one case, run once per distinct
+    (distinguisher masks, k).  A report depends on nothing else: the solver
+    reads a space only through its masks, whose count also fixes n."""
+    reports: dict[tuple[tuple[int, ...], int], SolveReport] = {}
+
+    def solve(space: FiniteMetricSpace, k: int) -> SolveReport:
+        key = (all_distinguishers(space).masks, k)
+        report = reports.get(key)
+        if report is None:
+            report = reports[key] = dim_exact(space, k, budget_secs=budget_secs)
+        return report
+
+    return solve
+
+
 def monotonicity_suite(count: int = 100, n: int = 8, seed: int = 0, *,
                        budget_secs: float | None = None) -> SuiteResult:
     """Dimension sequences respect the floor dim_k >= k and step by at least
@@ -98,8 +114,10 @@ def truncation_suite(count: int = 50, n: int = 8, seed: int = 0, *,
 
     Bisectors grow exactly where distinguisher masks shrink, so the masks
     are compared.  Per case, each cap is applied once, and each space's
-    masks and dim_k are computed once, however many (s, t) pairs share it.
-    A solve that runs out of budget fails the case at its k."""
+    masks are computed once, however many (s, t) pairs share it; dim_k is
+    solved once per distinct masks, so a cap at or above the diameter, or
+    two caps that leave the same masks, cost no second solve.  A solve that
+    runs out of budget fails the case at its k."""
     _check_sizes("truncation", count, n, 3)
     rng = random.Random(seed)
     failures: list[dict] = []
@@ -110,8 +128,8 @@ def truncation_suite(count: int = 50, n: int = 8, seed: int = 0, *,
         for cap in dict.fromkeys(cap for pair in st_pairs for cap in pair):
             spaces[cap] = truncate(space, cap)
         masks = {cap: all_distinguishers(capped).masks for cap, capped in spaces.items()}
-        reports = {(cap, k): dim_exact(capped, k, budget_secs=budget_secs)
-                   for cap, capped in spaces.items() for k in SUITE_K_VALUES}
+        solve = _case_solver(budget_secs)
+        reports = {(cap, k): solve(capped, k) for cap, capped in spaces.items() for k in SUITE_K_VALUES}
         exhausted = [k for k in SUITE_K_VALUES if bounded(reports[cap, k] for cap in spaces)]
         for k in exhausted:
             failures.append(_space_failure(space, f"budget exhausted at k={k}", case=case))
@@ -146,10 +164,14 @@ def join_dimensions(a: FiniteMetricSpace, b: FiniteMetricSpace, joined: FiniteMe
                     budget_secs: float | None = None) -> list[tuple[SolveReport, ...]]:
     """Per k in k_values: the dim_k reports of a, of b, of a and b
     truncated at t, and of their join at t.  A report whose status is
-    "bounded" holds only an interval, not the dimension."""
+    "bounded" holds only an interval, not the dimension.
+
+    Spaces with equal distinguisher masks share one solve per k: a part
+    whose diameter is at most 2t is its own truncation, and the two parts
+    may have the same masks."""
+    solve = _case_solver(budget_secs)
     spaces = (a, b, truncate(a, t), truncate(b, t), joined)
-    return [tuple(dim_exact(space, k, budget_secs=budget_secs) for space in spaces)
-            for k in k_values]
+    return [tuple(solve(space, k) for space in spaces) for k in k_values]
 
 
 def bounded(reports: Iterable[SolveReport]) -> bool:
@@ -187,7 +209,8 @@ def join_suite(count: int = 50, n: int = 5, seed: int = 0, *,
 def join_trivial_suite(count: int = 20, n: int = 5, seed: int = 0, *,
                        budget_secs: float | None = None) -> SuiteResult:
     """With the cross distance beyond both diameters, dimensions add exactly.
-    A solve that runs out of budget fails the case at its k."""
+    Parts with equal distinguisher masks share one solve per k.  A solve
+    that runs out of budget fails the case at its k."""
     _check_sizes("join-trivial", count, n, 2)
     rng = random.Random(seed)
     failures: list[dict] = []
@@ -195,8 +218,9 @@ def join_trivial_suite(count: int = 20, n: int = 5, seed: int = 0, *,
         a, b = _random_join_parts(rng, n)
         t = max(a.diameter(), b.diameter()) + 1
         joined = join(a, b, t)
+        solve = _case_solver(budget_secs)
         for k in SUITE_K_VALUES:
-            reports = [dim_exact(space, k, budget_secs=budget_secs) for space in (a, b, joined)]
+            reports = [solve(space, k) for space in (a, b, joined)]
             if bounded(reports):
                 failures.append(_space_failure(joined, f"budget exhausted at k={k}", case=case))
                 continue

@@ -542,6 +542,33 @@ class TestDeterminism:
 
 
 
+class TestParserReuse:
+    """The parser is built once per process and shared by every main() call."""
+
+    def test_successive_calls_keep_their_own_defaults(self, capsys, monkeypatch):
+        budgets = []
+        real_dim_exact, real_run_suite = cli.dim_exact, cli.run_suite
+        monkeypatch.setattr(cli, "dim_exact", lambda space, k, budget_secs: (
+            budgets.append(("analyze", budget_secs)) or real_dim_exact(space, k, budget_secs=budget_secs)))
+        monkeypatch.setattr(cli, "run_suite", lambda name, **options: (
+            budgets.append(("verify", options["budget_secs"])) or real_run_suite(name, **options)))
+        assert run(capsys, "analyze", "--family", "petersen", "--k", "1", "--budget-secs", "5")[0] == 0
+        assert run(capsys, "verify", "--suite", "monotonicity", "--random", "2", "--n", "4")[0] == 0
+        assert run(capsys, "analyze", "--family", "petersen", "--k", "1")[0] == 0
+        assert budgets == [("analyze", 5.0), ("verify", DEFAULT_BUDGET_SECS),
+                           ("analyze", DEFAULT_BUDGET_SECS)]
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_a_usage_error_leaves_the_next_call_intact(self, capsys):
+        argv = ["join", "--family", "path:3", "--family2", "sqrt-primes:4", "--t", "1", "--format", "json"]
+        _, before = run(capsys, *argv)
+        with pytest.raises(SystemExit) as err:
+            cli.main(["analyze", "--family", "petersen", "--k", "one"])
+        assert err.value.code == 2
+        capsys.readouterr()
+        assert run(capsys, *argv) == (0, before)
+
+
 class TestParserSurface:
     """Each subcommand declares exactly the options it reads."""
 

@@ -39,7 +39,7 @@ from kmetric.spaces import (
     truncate,
 )
 
-from conftest import connected_graphs, metric_spaces
+from conftest import connected_graphs, metric_spaces, rational_metric_spaces
 
 
 def discrete(n):
@@ -274,6 +274,16 @@ class TestTruncate:
         space = make_space(parse_family("path:5"))
         assert truncate(space, 2, cutoff=2).diameter() == 2
         assert truncate(space, 1, cutoff=4) == truncate(space, 2)
+
+    @given(rational_metric_spaces(),
+           st.just(Fraction(1)) | st.fractions(min_value=Fraction(1, 50), max_value=2))
+    def test_the_input_itself_exactly_when_nothing_is_capped(self, space, ratio):
+        # ratio 1 puts 2t on the diameter, the last cap that changes nothing
+        t = space.diameter() / 2 * ratio
+        capped = truncate(space, t)
+        assert (capped is space) == (2 * t >= space.diameter())
+        assert capped == build_space(space.labels, [[min(d, 2 * t) for d in row] for row in space.dist],
+                                     space.meta)
 
     @given(metric_spaces(), st.integers(min_value=1, max_value=5))
     def test_idempotent(self, space, t):

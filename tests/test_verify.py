@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -14,10 +15,12 @@ from kmetric.randgen import (
     random_rational_metric,
 )
 from kmetric import verify
-from kmetric.spaces import bisector, permute_space, truncate
+from kmetric.solver import dim_exact
+from kmetric.spaces import all_distinguishers, bisector, join, permute_space, truncate
 from kmetric.verify import (
     SuiteResult,
     bipartite_suite,
+    join_dimensions,
     join_suite,
     join_trivial_suite,
     monotonicity_suite,
@@ -119,6 +122,60 @@ class TestBudgetExhaustion:
         assert {f["detail"] for f in result.failures} <= {
             "budget exhausted at k=1", "budget exhausted at k=2"}
         assert run_suite(suite, count=count, n=n, seed=3).passed
+
+
+def _solve_every_space(budget_secs):
+    """The case solver without its memo: one solve per space and k."""
+    return lambda space, k: verify.dim_exact(space, k, budget_secs=budget_secs)
+
+
+class TestOneSolvePerSystem:
+    """Within a case, spaces with equal distinguisher masks share one solve per k."""
+
+    SUITES = [("truncation", 12, 8), ("join", 12, 5), ("join-trivial", 12, 4)]
+
+    @staticmethod
+    def solves_per_case(monkeypatch, suite, count, n, seed):
+        """The (masks, k) of each dim_exact call, grouped by case."""
+        cases = []
+        monkeypatch.setattr(verify, "dim_exact", lambda space, k, **options: (
+            cases[-1].append((all_distinguishers(space).masks, k)) or dim_exact(space, k, **options)))
+        case_solver = verify._case_solver
+        monkeypatch.setattr(verify, "_case_solver", lambda budget_secs: (
+            cases.append([]) or case_solver(budget_secs)))
+        result = run_suite(suite, count=count, n=n, seed=seed)
+        return result, cases
+
+    @pytest.mark.parametrize("suite, count, n", SUITES)
+    def test_each_distinct_system_is_solved_once_per_case(self, monkeypatch, suite, count, n):
+        result, cases = self.solves_per_case(monkeypatch, suite, count, n, seed=5)
+        monkeypatch.setattr(verify, "_case_solver", _solve_every_space)
+        reference, every = self.solves_per_case(monkeypatch, suite, count, n, seed=5)
+        assert result == reference and len(cases) == len(every) == count
+        assert [list(dict.fromkeys(solves)) for solves in every] == cases
+        # repeats within a case are common, so the memo is exercised
+        assert sum(map(len, every)) > sum(map(len, cases))
+
+    @pytest.mark.parametrize("budget_secs", [None, 1e-9])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("suite, count, n", SUITES)
+    def test_the_result_is_that_of_solving_every_space(self, monkeypatch, suite, count, n, seed,
+                                                       budget_secs):
+        result = run_suite(suite, count=count, n=n, seed=seed, budget_secs=budget_secs)
+        monkeypatch.setattr(verify, "_case_solver", _solve_every_space)
+        assert run_suite(suite, count=count, n=n, seed=seed, budget_secs=budget_secs) == result
+
+    @given(st.integers(min_value=2, max_value=6), st.integers(min_value=2, max_value=6),
+           st.integers(min_value=0, max_value=2**20), st.integers(min_value=1, max_value=8))
+    def test_join_dimensions_match_separate_solves(self, na, nb, seed, t2):
+        rng = random.Random(seed)
+        a = random_rational_metric(na, rng)
+        b = replace(random_rational_metric(nb, rng), labels=tuple(f"y{i}" for i in range(nb)))
+        t = Fraction(t2, 2)
+        joined = join(a, b, t)
+        spaces = (a, b, truncate(a, t), truncate(b, t), joined)
+        assert join_dimensions(a, b, joined, t, (1, 2)) == [
+            tuple(dim_exact(space, k) for space in spaces) for k in (1, 2)]
 
 
 class TestRunSuite:
