@@ -94,26 +94,31 @@ def _load_source(family: str | None, input_path: str | None,
     return shortest_path_metric(parse_edge_list(text)), input_path
 
 
-def _emit(payload: dict, fmt: str, plain_lines: list[str], csv_text: str | None = None):
-    """Print the payload as JSON, CSV or plain lines; only verify, whose
-    parser offers no CSV, omits `csv_text`."""
-    if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    elif fmt == "csv":
+def _load_truncated(args: argparse.Namespace) -> tuple[FiniteMetricSpace, str]:
+    """The --family/--input space of analyze or sequence, truncated at --t
+    when it is given, plus its printable source name."""
+    space, source = _load_source(args.family, args.input)
+    if args.t is not None:
+        space = truncate(space, args.t)
+        source = f"{source} truncated at t={args.t}"
+    return space, source
+
+
+def _emit(args: argparse.Namespace, payload: dict, plain_lines: list[str], csv_text: str | None = None):
+    """Print the payload as JSON, with the schema and the command, CSV or
+    plain lines; only verify, whose parser offers no CSV, omits `csv_text`."""
+    if args.format == "json":
+        print(json.dumps({"schema": SCHEMA, "command": args.command, **payload}, indent=2, sort_keys=True))
+    elif args.format == "csv":
         sys.stdout.write(csv_text)
     else:
         print("\n".join(plain_lines))
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    space, source = _load_source(args.family, args.input)
-    if args.t is not None:
-        space = truncate(space, args.t)
-        source = f"{source} truncated at t={args.t}"
+    space, source = _load_truncated(args)
     cap = max_k(space)
     payload: dict = {
-        "schema": SCHEMA,
-        "command": "analyze",
         "source": source,
         "n": space.n,
         "max_k": cap,
@@ -153,21 +158,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         else:
             payload["basis"] = None
             payload["certificate"] = None
-    _emit(payload, args.format, lines, "\n".join(csv_rows) + "\n")
+    _emit(args, payload, lines, "\n".join(csv_rows) + "\n")
     return exit_code
 
 
 def cmd_sequence(args: argparse.Namespace) -> int:
-    space, source = _load_source(args.family, args.input)
-    truncated = args.t is not None
-    if truncated:
-        space = truncate(space, args.t)
-        source = f"{source} truncated at t={args.t}"
+    space, source = _load_truncated(args)
     cap = max_k(space)
     seq, reports = sequence_with_reports(space, args.k_max, budget_secs=args.budget_secs)
     payload: dict = {
-        "schema": SCHEMA,
-        "command": "sequence",
         "source": source,
         "n": space.n,
         "max_k": cap,
@@ -179,7 +178,7 @@ def cmd_sequence(args: argparse.Namespace) -> int:
         payload["bounded_at_k"] = last.k
         payload["bounds"] = list(last.bounds)
         payload["entries"] = [e.to_json() for e in exact.entries]
-        _emit(payload, args.format,
+        _emit(args, payload,
               [f"sequence {source}: budget exhausted at k={last.k}, optimum in {last.bounds}"],
               exact.to_csv())
         return EXIT_BUDGET
@@ -188,7 +187,7 @@ def cmd_sequence(args: argparse.Namespace) -> int:
     payload["status"] = "optimal"
     lines = [f"sequence {source} (n={space.n}, max_k={cap})"]
     expected = None
-    if args.family is not None and not truncated:
+    if args.family is not None and args.t is None:
         expected = expected_sequence(parse_family(args.family))
     if expected is not None:
         verdicts, tail_verdict, overall = expected.judge(seq)
@@ -209,7 +208,7 @@ def cmd_sequence(args: argparse.Namespace) -> int:
         for k, entry in enumerate(seq.entries, start=1):
             lines.append(f"k={k} dim={entry}")
         lines.append(f"k>={seq.tail_start} dim=inf")
-    _emit(payload, args.format, lines, seq.to_csv())
+    _emit(args, payload, lines, seq.to_csv())
     return EXIT_OK
 
 
@@ -238,8 +237,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         st_pair=st_pair,
     )
     payload = {
-        "schema": SCHEMA,
-        "command": "verify",
         "seed": args.seed,
         **result.to_json_dict(),
     }
@@ -247,7 +244,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     lines = [f"suite {result.suite}: {result.cases - len(result.failures)}/{result.cases} {status}"]
     for failure in result.failures[:3]:
         lines.append(f"counterexample: {json.dumps(failure, sort_keys=True)}")
-    _emit(payload, args.format, lines)
+    _emit(args, payload, lines)
     return EXIT_OK if result.passed else EXIT_VIOLATION
 
 
@@ -297,8 +294,6 @@ def cmd_join(args: argparse.Namespace) -> int:
             "relation": relation,
         })
     payload = {
-        "schema": SCHEMA,
-        "command": "join",
         "source_a": source_a,
         "source_b": source_b,
         "t": str(args.t),
@@ -315,7 +310,7 @@ def cmd_join(args: argparse.Namespace) -> int:
             f" dim_join={row['dim_join']} sum{row['relation']}join")
     columns = ("k", "dim_a", "dim_b", "sum", "dim_a_trunc", "dim_b_trunc", "dim_join", "relation")
     csv_rows = [",".join(columns)] + [",".join(_csv_cell(row[c]) for c in columns) for row in table]
-    _emit(payload, args.format, lines, "\n".join(csv_rows) + "\n")
+    _emit(args, payload, lines, "\n".join(csv_rows) + "\n")
     return EXIT_BUDGET if exhausted else EXIT_OK
 
 

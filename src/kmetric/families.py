@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Callable, NamedTuple
 
-from .errors import BadFamilyParams, KMetricError, ZeroOffDiagonal
+from .errors import BadFamilyParams, KMetricError
 from .graphs import Graph, build_graph, shortest_path_metric
 from .solver import DEFAULT_BUDGET_SECS, DimensionSequence, dim_exact
 from .spaces import (
@@ -255,21 +255,19 @@ def _points_on_a_line(labels, coords, scale: int, meta=None) -> FiniteMetricSpac
     return _from_scaled(tuple(labels), z, scale, meta)
 
 
-def make_sqrt_primes(count: int, *, digits: int = DEFAULT_QUANTIZE_DIGITS) -> FiniteMetricSpace:
+def make_sqrt_primes(count: int) -> FiniteMetricSpace:
     """Square roots of the first `count` primes on the real line.
 
-    Coordinates are quantized to `digits` decimal digits (recorded in the
-    space's metadata); distances are exact differences of the quantized
-    coordinates, so the Euclidean structure survives intact.
+    Coordinates are quantized to DEFAULT_QUANTIZE_DIGITS decimal digits
+    (recorded in the space's metadata), which keeps them distinct for every
+    prime below about 10**23; distances are exact differences of the
+    quantized coordinates, so the Euclidean structure survives intact.
     """
     primes = _first_primes(count)
-    scale = 10**digits
+    scale = 10**DEFAULT_QUANTIZE_DIGITS
     coords = [math.isqrt(p * scale * scale) for p in primes]
-    for i in range(count - 1):
-        if coords[i] == coords[i + 1]:  # too few digits merged two points
-            raise ZeroOffDiagonal(i, i + 1)
     labels = [f"sqrt({p})" for p in primes]
-    return _points_on_a_line(labels, coords, scale, {"quantization_digits": digits})
+    return _points_on_a_line(labels, coords, scale, {"quantization_digits": DEFAULT_QUANTIZE_DIGITS})
 
 
 def make_interval_sample(count: int) -> FiniteMetricSpace:

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import random
 import warnings
-from fractions import Fraction
 
 from .graphs import Graph, _bfs, shortest_path_metric
-from .spaces import FiniteMetricSpace, TwoPointSpaceWarning, build_space
+from .spaces import FiniteMetricSpace, TwoPointSpaceWarning, _from_scaled, build_space
 
 
 def _connected_graph(n: int, edges: list[tuple[int, int]]) -> Graph | None:
@@ -59,7 +58,11 @@ def random_graph_metric(n: int, rng: random.Random) -> FiniteMetricSpace:
 
 
 def random_rational_metric(n: int, rng: random.Random) -> FiniteMetricSpace:
-    """Shortest-path closure of a complete graph with random rational weights."""
+    """Shortest-path closure of a complete graph with random rational weights.
+
+    The closure runs on the weights times 6, in integers; `build_space`
+    validates that integer matrix, and the space is its rescale by 1/6.
+    """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     # Weights a/b with a in 1..8, b in {1, 2, 3}; the closure runs on integers times 6.
@@ -80,7 +83,8 @@ def random_rational_metric(n: int, rng: random.Random) -> FiniteMetricSpace:
     labels = [f"x{i}" for i in range(n)]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TwoPointSpaceWarning)
-        return build_space(labels, [[Fraction(x, 6) for x in row] for row in d])
+        space = build_space(labels, d)
+    return _from_scaled(space.labels, space._int_dist, 6)
 
 
 def random_space(n: int, rng: random.Random) -> FiniteMetricSpace:

@@ -555,34 +555,28 @@ def dim_exact(space: FiniteMetricSpace, k: int, *, budget_secs: float | None = D
     if root_lb > greedy_value:
         raise AssertionError(
             f"lower bound {root_lb} exceeds the greedy solution {greedy_value}: bound bug")
+    status, bounds, lex_finished = "optimal", None, True
     if cover is not None:
         # every cluster was solved exactly: the optimum and its lex-min cover
         if cluster_value != root_lb:
             raise AssertionError(
                 f"lower bound {root_lb} exceeds the exact cluster optimum {cluster_value}: bound bug")
-        return SolveReport(
-            k=k, optimum=ExtendedNat(cluster_value), basis=PointSet.from_mask(cover),
-            lower_bound_trace=tuple(trace), nodes_explored=0, greedy_value=greedy_value, status="optimal",
-        )
-    optimum, witness = greedy_value, greedy_set.to_mask()
-    if root_lb < optimum:
+        optimum, basis_mask = cluster_value, cover
+    else:
+        optimum, witness = greedy_value, greedy_set.to_mask()
         try:
-            search.run(optimum, witness, root_lb)
+            if root_lb < optimum:
+                search.run(optimum, witness, root_lb)
+                optimum, witness = search.best_size, search.best_mask
         except _BudgetExceeded:
-            return SolveReport(
-                k=k, optimum=ExtendedNat(search.best_size),
-                basis=PointSet.from_mask(search.best_mask),
-                lower_bound_trace=tuple(trace), nodes_explored=search.nodes,
-                greedy_value=greedy_value,
-                status="bounded", bounds=(root_lb, search.best_size),
-            )
-        optimum, witness = search.best_size, search.best_mask
-    basis_mask, lex_finished = search.lex_min(optimum, witness)
+            status, bounds = "bounded", (root_lb, search.best_size)
+            optimum, basis_mask = search.best_size, search.best_mask
+        else:
+            basis_mask, lex_finished = search.lex_min(optimum, witness)
     return SolveReport(
         k=k, optimum=ExtendedNat(optimum), basis=PointSet.from_mask(basis_mask),
-        lower_bound_trace=tuple(trace), nodes_explored=search.nodes,
-        greedy_value=greedy_value, status="optimal",
-        basis_kind="lex_min" if lex_finished else "witness",
+        lower_bound_trace=tuple(trace), nodes_explored=search.nodes, greedy_value=greedy_value,
+        status=status, bounds=bounds, basis_kind="lex_min" if lex_finished else "witness",
     )
 
 

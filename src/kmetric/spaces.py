@@ -16,7 +16,8 @@ Input from outside (a matrix, space JSON) is validated in full once, by
 `build_space`, the only path from fractions to integers.  It converts
 each distinct int or str entry once, and its triangle check tests all n*n
 inequalities for one point at a time as byte fields of one big integer
-(`_triangle_scan`).  Spaces derived from a valid space (`truncate`,
+(`_triangle_scan`), unless the largest entry already breaks a triangle.
+Spaces derived from a valid space (`truncate`,
 `join`, `permute_space`) are metrics by construction: they are built
 from integers directly, by `_from_scaled`, without a re-check.
 
@@ -33,6 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations
+from operator import add, sub
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -168,9 +170,6 @@ class FiniteMetricSpace:
 
     def index(self, label: str) -> int:
         return self._label_index[label]
-
-    def distance(self, u: int, v: int) -> Fraction:
-        return self.dist[u][v]
 
     def diameter(self) -> Fraction:
         return Fraction(max(map(max, self._int_dist)), self.scale)
@@ -405,9 +404,23 @@ def _triangle_scan(z) -> tuple[int, int] | None:
     exactly where the inequality fails.  One
     pass of big-int arithmetic per i tests all n*n cells; the lowest
     cleared top bit is the first j.
+
+    Every field is as wide as the largest entry needs, so one huge entry
+    among small ones would make the fields far larger than the matrix.
+    If the largest entry z[a][b] has a shorter path z[a][c] + z[c][b], a
+    plain row-major scan finds the first pair instead.  Otherwise every c
+    holds an entry of at least half the largest, so the fields take at
+    most about n/2 times the bytes of the matrix.
     """
     n = len(z)
-    width = ((2 * max(map(max, z))).bit_length() + 8) // 8
+    row_tops = list(map(max, z))
+    top = max(row_tops)
+    a = row_tops.index(top)
+    b = z[a].index(top)
+    if min(map(add, z[a], [row[b] for row in z])) < top:
+        return next((i, j) for i, zi in enumerate(z) for j, zj in enumerate(z)
+                    if max(map(sub, zi, zj)) > zi[j])
+    width = ((2 * top).bit_length() + 8) // 8
     guard = int.from_bytes((bytes(width - 1) + b"\x80") * (n * n), "little")  # each field's top bit
     rows = [[x.to_bytes(width, "little") for x in row] for row in z]
     flat = [b"".join(row) for row in rows]
@@ -479,20 +492,18 @@ def max_k(space: FiniteMetricSpace) -> int:
     return all_distinguishers(space).min_size()
 
 
-def truncate(space: FiniteMetricSpace, t, cutoff=None) -> FiniteMetricSpace:
-    """Cap every off-diagonal distance at `cutoff` (default 2t).
+def truncate(space: FiniteMetricSpace, t) -> FiniteMetricSpace:
+    """The truncation d^t = min(d, 2t): every distance capped at 2t, the cap
+    the join construction puts on its parts.  A cap of c is
+    `truncate(space, c / 2)`.
 
-    The default cutoff of 2t is the one used by the join construction; the
-    parameter is explicit so the alternative single-t reading can be tested.
     A cap at or above the diameter changes nothing, and `space` itself is
     returned, with the distinguisher map it may already hold.
     """
     t = Fraction(t)
     if t <= 0:
         raise NonpositiveParameter("t", t)
-    cap = Fraction(cutoff) if cutoff is not None else 2 * t
-    if cap <= 0:
-        raise NonpositiveParameter("cutoff", cap)
+    cap = 2 * t
     if cap >= space.diameter():
         return space
     scale = math.lcm(space.scale, cap.denominator)

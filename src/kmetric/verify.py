@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .errors import KMetricError
-from .graphs import Graph, check_odd_distance_bisectors, format_edge_list
+from .graphs import Graph, check_odd_distance_bisectors, format_edge_list, is_bipartite
 from .randgen import (
     random_bipartite_connected_graph,
     random_rational_metric,
@@ -236,9 +236,16 @@ def bipartite_suite(count: int = 20, n: int = 10, seed: int = 0, *,
     """Odd-distance pairs in odd-cycle-free graphs have empty bisectors.
 
     Given `graphs`, the suite checks those instead of `count` random ones
-    of 3..n points."""
+    of 3..n points; a given graph with an odd cycle lies outside the
+    theorem, so it is rejected before any case runs.  A random graph that
+    is not bipartite fails its case: the generator is at fault."""
     if graphs is not None:
         pool = list(graphs)
+        for graph in pool:
+            cycle = is_bipartite(graph).odd_cycle
+            if cycle is not None:
+                raise KMetricError("the bipartite suite takes only graphs without odd cycles; a given graph"
+                                   " has the odd cycle " + " ".join(graph.labels[i] for i in cycle))
     else:
         _check_sizes("bipartite", count, n, 3)
         rng = random.Random(seed)

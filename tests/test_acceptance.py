@@ -19,6 +19,7 @@ that has it:
 import json
 import random
 import time
+from fractions import Fraction
 from itertools import combinations
 
 from kmetric import cli
@@ -196,8 +197,9 @@ def test_c10_join_counterexample():
     vectors = {lab: tuple(cycle.dist[cycle.index(lab)][w] for w in landmarks) for lab in cycle.labels}
     assert vectors == {"1": (0, 1), "3": (2, 1), "2": (1, 0), "4": (1, 2)}
     assert not any(is_k_generator(cycle, [x], 1).valid for x in range(cycle.n))
-    # parts at distance t (the single-t reading): the same points form K4
-    k4 = join(truncate(a, 1, cutoff=1), truncate(b, 1, cutoff=1), 1)
+    # parts capped at t (the single-t reading), which is truncation at t/2:
+    # the same points form K4
+    k4 = join(truncate(a, Fraction(1, 2)), truncate(b, Fraction(1, 2)), 1)
     assert all(k4.dist[u][v] == 1 for u, v in k4.pairs())
     dim_k4 = dim_exact(k4, 1).optimum
     assert dim_k4 == dim_bruteforce(k4, 1) == 3

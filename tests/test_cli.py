@@ -15,6 +15,18 @@ def run(capsys, *argv):
     return code, captured.out
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--family", "cycle:5", "--k", "1"],
+    ["sequence", "--family", "cycle:5"],
+    ["verify", "--suite", "bipartite", "--family", "path:3"],
+    ["join", "--family", "interval:3", "--family2", "sqrt-primes:3", "--t", "1"],
+], ids=lambda argv: argv[0])
+def test_json_names_the_schema_and_the_command(capsys, argv):
+    code, out = run(capsys, *argv, "--format", "json")
+    data = json.loads(out)
+    assert (code, data["schema"], data["command"]) == (0, 1, argv[0])
+
+
 class TestAnalyze:
     def test_petersen_k2(self, capsys):
         code, out = run(capsys, "analyze", "--family", "petersen", "--k", "2", "--format", "json")
@@ -168,6 +180,15 @@ class TestVerify:
                         "--family", "grid-ball:2,3", "--format", "json")
         assert code == 0
         assert json.loads(out)["passed"] is True
+
+    @pytest.mark.parametrize("family, cycle", [("petersen", "u1 u5 u4 u3 u2 u1"), ("cycle:5", "v1 v5 v4 v3 v2 v1")])
+    def test_bipartite_family_with_an_odd_cycle_is_an_input_error(self, capsys, family, cycle):
+        # a graph outside the theorem is not a violation of it
+        assert cli.main(["verify", "--suite", "bipartite", "--family", family]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err.splitlines()) == ("", [
+            "error: the bipartite suite takes only graphs without odd cycles;"
+            f" a given graph has the odd cycle {cycle}"])
 
     def test_custom_truncation_pair(self, capsys):
         code, _ = run(capsys, "verify", "--suite", "truncation", "--random", "2",

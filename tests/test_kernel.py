@@ -9,7 +9,9 @@ input, the same masks, the same greedy (value, set), the same spaces, the
 same cluster minimum and lex-min subset.
 """
 
+import hashlib
 import random
+import tracemalloc
 import warnings
 from fractions import Fraction
 from functools import reduce
@@ -342,6 +344,24 @@ class TestValidation:
             z = [[z[min(r, c)][max(r, c)] for c in range(n)] for r in range(n)]
         assert _triangle_scan(z) == reference_triangle(z)
 
+    @pytest.mark.parametrize("huge, digits", [("1e20000", 20001), ("1e60000", 60001)])
+    def test_one_huge_entry_is_rejected_without_wide_fields(self, huge, digits):
+        # Fields as wide as the huge entry would take n*n times its bytes
+        # (hundreds of MB at 1e60000); the plain scan takes none.
+        n = 40
+        d = [["0" if i == j else "1" for j in range(n)] for i in range(n)]
+        d[3][17] = d[17][3] = huge
+        tracemalloc.start()
+        try:
+            with pytest.raises(TriangleViolation) as info:
+                build_space([f"p{i}" for i in range(n)], d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == (f"d[3][17]=<fraction with {digits}-digit numerator>"
+                                   " > d[3][0]+d[0][17]=2")
+        assert peak < 32 * 2**20
+
     def test_triangle_scan_at_the_field_width_edges(self):
         # (i, j, k) = (0, 1, 2) with z[0][2] = z[0][1] + z[1][2] + excess;
         # the largest entry sits on each edge value in turn.
@@ -586,6 +606,16 @@ class TestRandomRationalMetric:
         space = random_rational_metric(n, random.Random(seed))
         want = reference_rational_metric(n, random.Random(seed))
         assert [list(row) for row in space.dist] == want
+
+    def test_stored_fields_are_unchanged(self):
+        # The digest of 300 seeded spaces as they were built through a
+        # matrix of Fractions: the integer fields, not just the fractions,
+        # stay the same.
+        digest = hashlib.sha256()
+        for seed in range(300):
+            space = random_rational_metric(2 + seed % 11, random.Random(seed))
+            digest.update(repr((space.labels, space._int_dist, space.scale)).encode())
+        assert digest.hexdigest() == "7325efe200d7b89c35fe78635a57e1025f82c38b5e6b532559b1787a7e96ac52"
 
 
 class TestAsRational:

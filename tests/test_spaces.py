@@ -19,7 +19,7 @@ from kmetric.errors import (
     TriangleViolation,
     ZeroOffDiagonal,
 )
-from kmetric.families import make_space, make_sqrt_primes, parse_family
+from kmetric.families import make_space, parse_family
 from kmetric.graphs import parse_edge_list, shortest_path_metric
 from kmetric.randgen import random_rational_metric
 from kmetric.spaces import (
@@ -270,10 +270,11 @@ class TestTruncate:
         with pytest.raises(NonpositiveParameter, match="fraction with 5001-digit numerator"):
             truncate(discrete(3), -10**5000)
 
-    def test_explicit_cutoff_parameter(self):
+    def test_cap_is_twice_t(self):
         space = make_space(parse_family("path:5"))
-        assert truncate(space, 2, cutoff=2).diameter() == 2
-        assert truncate(space, 1, cutoff=4) == truncate(space, 2)
+        assert truncate(space, 1).diameter() == 2
+        assert truncate(space, Fraction(3, 2)).dist[0] == (0, 1, 2, 3, 3)
+        assert truncate(space, Fraction(1, 2)).dist[0] == (0, 1, 1, 1, 1)
 
     @given(rational_metric_spaces(),
            st.just(Fraction(1)) | st.fractions(min_value=Fraction(1, 50), max_value=2))
@@ -355,9 +356,9 @@ class TestDerivedSpaces:
     sqrt-primes and interval families skip build_space's checks; what they
     build must pass those checks anyway."""
 
-    @given(metric_spaces(), _PARAMS, st.none() | _PARAMS)
-    def test_truncate(self, space, t, cutoff):
-        assert_rebuilds(truncate(space, t, cutoff))
+    @given(metric_spaces(), _PARAMS)
+    def test_truncate(self, space, t):
+        assert_rebuilds(truncate(space, t))
 
     @given(metric_spaces(max_n=6), metric_spaces(max_n=6), _PARAMS)
     def test_join(self, a, b, t):
@@ -387,12 +388,6 @@ class TestDerivedSpaces:
             warnings.simplefilter("ignore", TwoPointSpaceWarning)
             for count in range(2, 41):
                 assert_rebuilds(make_space(parse_family(f"{family}:{count}")))
-
-    def test_merged_sqrt_coordinates_are_rejected(self):
-        # at 1 digit, sqrt(137) and sqrt(139) both quantize to 11.7
-        with pytest.raises(ZeroOffDiagonal) as info:
-            make_sqrt_primes(60, digits=1)
-        assert info.value.indices == (32, 33)
 
     @given(st.integers(min_value=2, max_value=9), st.integers(min_value=0, max_value=2**20))
     def test_random_rational_metric(self, n, seed):

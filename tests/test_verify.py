@@ -105,6 +105,12 @@ class TestSuites:
         result = bipartite_suite(graphs=[grid])
         assert result.passed and result.cases == 1
 
+    def test_given_graph_with_an_odd_cycle_rejected_before_any_case(self, monkeypatch):
+        monkeypatch.setattr(verify, "check_odd_distance_bisectors", None)  # any case run would crash
+        grid, petersen = make(parse_family("grid-ball:2,3")), make(parse_family("petersen"))
+        with pytest.raises(KMetricError, match="odd cycle u1 u5 u4 u3 u2 u1"):
+            bipartite_suite(graphs=[grid, petersen])
+
     def test_same_seed_same_result(self):
         a = monotonicity_suite(count=5, n=6, seed=3)
         b = monotonicity_suite(count=5, n=6, seed=3)
