@@ -36,7 +36,7 @@ from kmetric.spaces import is_k_generator  # noqa: E402
 
 # The file this script writes is BENCH_<NUMBER>.json; when a solver change
 # moves a row, raise NUMBER so the earlier file stays as the trajectory.
-NUMBER = 14
+NUMBER = 19
 RUNS = 3
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import asdict
 from functools import cache
 from fractions import Fraction
@@ -41,6 +42,7 @@ from .solver import (
 )
 from .spaces import (
     FiniteMetricSpace,
+    TwoPointSpaceWarning,
     dump_space,
     is_k_generator,
     join,
@@ -385,18 +387,32 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        # None is verify's unset flag; `> 0` also rejects NaN, which would never expire.
-        if args.budget_secs is not None and not args.budget_secs > 0:
-            raise KMetricError(f"--budget-secs must be > 0 (inf for no limit), got {args.budget_secs}")
-        for name in ("t", "s"):
-            _check_printable(f"--{name}", getattr(args, name, None))
-        if getattr(args, "k_max", None) is not None and args.k_max < 1:
-            raise KMetricError(f"--k-max must be at least 1, got {args.k_max}")
-        return _COMMANDS[args.command](args)
-    except KMetricError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    show_other = warnings.showwarning
+    warned = []
+
+    def show_warning(message, category, filename, lineno, file=None, line=None):
+        # A two-point input is said once, as one line with no source path,
+        # so stderr does not depend on where the package is installed.
+        if not issubclass(category, TwoPointSpaceWarning):
+            show_other(message, category, filename, lineno, file, line)
+        elif not warned:
+            warned.append(message)
+            print(f"warning: {message}", file=sys.stderr)
+
+    with warnings.catch_warnings():
+        warnings.showwarning = show_warning
+        try:
+            # None is verify's unset flag; `> 0` also rejects NaN, which would never expire.
+            if args.budget_secs is not None and not args.budget_secs > 0:
+                raise KMetricError(f"--budget-secs must be > 0 (inf for no limit), got {args.budget_secs}")
+            for name in ("t", "s"):
+                _check_printable(f"--{name}", getattr(args, name, None))
+            if getattr(args, "k_max", None) is not None and args.k_max < 1:
+                raise KMetricError(f"--k-max must be at least 1, got {args.k_max}")
+            return _COMMANDS[args.command](args)
+        except KMetricError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -21,6 +21,9 @@ Search design (deterministic):
     points, when their support is small (memoized; one pass tests all its
     subsets at once) and bounds a larger cluster by a greedy packing of
     its pairwise disjoint distinguisher sets; the maximum of all applies;
+  * a root the clusters leave open below the greedy value also gets the
+    degree bound ⌈Σ need / D⌉, D the most constraints one point lies in
+    (the LP dual with every y_c = 1/D), in integers; search nodes skip it;
   * a search node takes its bounds cheapest first and stops at the first
     that prunes it: the largest residual need, then the cluster sum with
     cached values and packings, each uncached small cluster counted at its
@@ -41,6 +44,11 @@ search runs.  Otherwise, after the search proves the optimum, the basis is
 found by fix-and-probe on the same search object: points are decided in
 index order, and a point is kept when an optimal cover still exists with
 it and the points kept so far, and without the points turned down so far.
+Two rules decide points in bulk without a probe: a constraint that still
+needs as many points as are left to add must hold all of them, so every
+point outside such tight constraints is turned down; and the points of the
+current optimal witness that lie below the lowest other candidate are kept
+together.
 """
 
 from __future__ import annotations
@@ -367,6 +375,37 @@ def _cluster_bound(residuals: Sequence[tuple[int, int]], cache: dict,
     return total, cover
 
 
+def _degree_bound(constraints: Sequence[tuple[int, int]]) -> int:
+    """⌈Σ need / D⌉, D the most constraints any one point lies in.
+
+    A cover meets the constraints at least Σ need times in all, and each
+    of its points meets at most D of them.  The per-point counts are kept
+    as binary bit planes over the points, one carry-add per constraint.
+    D is read from the highest plane down: a plane that some of the points
+    still in the running have set gives D a 1 bit and keeps only those.
+    """
+    planes: list[int] = []
+    total = 0
+    for mask, need in constraints:
+        total += need
+        carry = mask
+        for i, plane in enumerate(planes):
+            planes[i] = plane ^ carry
+            carry &= plane
+            if not carry:
+                break
+        if carry:
+            planes.append(carry)
+    top = 0
+    points = -1
+    for plane in reversed(planes):
+        top <<= 1
+        if points & plane:
+            points &= plane
+            top |= 1
+    return -(-total // top)
+
+
 # --- branch and bound ---------------------------------------------------------
 
 class _BudgetExceeded(Exception):
@@ -485,22 +524,39 @@ class _Search:
         becomes the witness.  A point outside every unmet constraint is in
         no optimal cover: dropping it would leave a smaller one.
 
+        Points are decided in bulk where the answer is known.  An optimal
+        cover adds `target - |fixed|` points to the fixed ones, so a
+        constraint short by that many holds all of them: every candidate
+        outside one of these tight constraints is rejected.  The witness
+        points below the lowest candidate outside the witness are fixed at
+        once, as one by one each would be: they stay candidates while the
+        lower ones are fixed.
+
         Returns (cover, finished).  If the deadline passes, finished is
         False and the cover is the current witness: optimal, but not
         necessarily lexicographically first.
         """
         fixed = rejected = 0
         while True:
+            budget = target - fixed.bit_count()
             support = 0
+            tight = -1
             for mask, need in self.constraints:
-                if (mask & fixed).bit_count() < need:
+                short = need - (mask & fixed).bit_count()
+                if short > 0:
                     support |= mask
+                    if short == budget:
+                        tight &= mask
             support &= ~(fixed | rejected)
+            rejected |= support & ~tight
+            support &= tight
             if not support:
                 return fixed, True
-            x = support & -support
-            if witness & x:
-                fixed |= x
+            others = support & ~witness
+            x = others & -others
+            kept = support & witness & (x - 1)  # all of them when x is 0
+            if kept:
+                fixed |= kept
                 continue
             try:
                 self.run(target + 1, 0, target, fixed | x, rejected)
@@ -520,11 +576,14 @@ def dim_exact(space: FiniteMetricSpace, k: int, *, budget_secs: float | None = D
     `prev_dim` feeds the previous sequence level in as a lower bound.  When
     the root's constraint clusters are all solved exactly, their union
     cover is the lex-min optimal basis and the report takes no nodes.
-    Otherwise the search stops at the first cover as small as the root
-    lower bound, and the basis is rebuilt as the lexicographically smallest
-    optimal set by fix-and-probe (`_Search.lex_min`).  One `_Search` serves
-    the level: the root bound reads its cluster cache, and the report's
-    node count is its `nodes`, main search and probes together.
+    Otherwise, while the root bound is below the greedy value, the degree
+    bound joins the trace; a root bound equal to the greedy value proves
+    the greedy cover optimal with no search.  Else the search stops at the
+    first cover as small as the root lower bound.  Either way the basis is
+    rebuilt as the lexicographically smallest optimal set by fix-and-probe
+    (`_Search.lex_min`).  One `_Search` serves the level: the root bound
+    reads its cluster cache, and the report's node count is its `nodes`,
+    main search and probes together.
 
     On budget exhaustion the report carries status "bounded" with the
     proven (lower, incumbent) interval instead of an exact optimum.  If
@@ -552,6 +611,9 @@ def dim_exact(space: FiniteMetricSpace, k: int, *, budget_secs: float | None = D
     cluster_value, cover = _cluster_bound(search.constraints, search.cache)
     trace.append(("clusters", cluster_value))
     root_lb = max(value for _, value in trace)
+    if cover is None and root_lb < greedy_value:
+        trace.append(("degree", _degree_bound(search.constraints)))
+        root_lb = max(root_lb, trace[-1][1])
     if root_lb > greedy_value:
         raise AssertionError(
             f"lower bound {root_lb} exceeds the greedy solution {greedy_value}: bound bug")

@@ -27,6 +27,18 @@ def test_json_names_the_schema_and_the_command(capsys, argv):
     assert (code, data["schema"], data["command"]) == (0, 1, argv[0])
 
 
+@pytest.mark.parametrize("argv, out", [
+    (["analyze", "--family", "path:2", "--k", "1"],
+     "space: path:2 (n=2)\nmax_k: 2\ndim_1: 1\nbasis: v1\ncertificate: valid (min coverage 1)\n"),
+    (["verify", "--suite", "bipartite", "--family", "path:2"], "suite bipartite: 1/1 PASS\n"),
+], ids=["analyze", "verify"])
+def test_a_two_point_space_is_one_warning_line(capsys, argv, out):
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        out, "warning: 2-point spaces are degenerate for dimension analysis\n")
+
+
 class TestAnalyze:
     def test_petersen_k2(self, capsys):
         code, out = run(capsys, "analyze", "--family", "petersen", "--k", "2", "--format", "json")
@@ -88,14 +100,14 @@ class TestAnalyze:
         assert json.loads(out)["dim"] == 2
 
     @pytest.mark.parametrize("family, dim, nodes, trace, basis", [
-        ("grid-ball:2,5", 3, 248, [["requirement", 1], ["clusters", 2]],
+        ("grid-ball:2,5", 3, 191, [["requirement", 1], ["clusters", 2], ["degree", 2]],
          ["(-5,0)", "(-4,-1)", "(5,0)"]),
         ("petersen", 3, 0, [["requirement", 1], ["clusters", 3]],
          ["u1", "u3", "v4"]),
         ("free-ball:2,3", 24, 0, [["requirement", 1], ["clusters", 24]], None),
     ])
     def test_bound_values_and_node_counts(self, capsys, family, dim, nodes, trace, basis):
-        # The cluster bound decides these node counts: a weaker or different
+        # The root bounds decide these node counts: a weaker or different
         # bound changes them even when the optimum stays put.  petersen's
         # constraints form clusters that are all solved exactly at the root,
         # so it takes no search.

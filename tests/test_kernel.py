@@ -37,6 +37,7 @@ from kmetric.randgen import random_connected_graph, random_rational_metric
 from kmetric.solver import (
     COMPONENT_SUPPORT_CAP,
     _cluster_bound,
+    _degree_bound,
     _exact_cluster_min,
     _subset_tables,
     dim_exact,
@@ -205,10 +206,10 @@ def reference_cluster_min(members, size):
 # --- strategies ---------------------------------------------------------------
 
 @st.composite
-def clusters(draw):
-    """(members, size): 1 to 64 members over at most 12 points, masks drawn
-    from a small pool so that some repeat, each need in 1..|mask|."""
-    size = draw(st.integers(min_value=1, max_value=COMPONENT_SUPPORT_CAP))
+def clusters(draw, max_size=COMPONENT_SUPPORT_CAP):
+    """(members, size): 1 to 64 members over at most `max_size` points,
+    masks drawn from a small pool so that some repeat, each need in 1..|mask|."""
+    size = draw(st.integers(min_value=1, max_value=max_size))
     count = draw(st.one_of(st.just(1), st.just(64), st.integers(min_value=1, max_value=64)))
     pool = draw(st.lists(st.integers(min_value=1, max_value=(1 << size) - 1), min_size=1, max_size=count))
     members = []
@@ -304,6 +305,18 @@ def faulty_matrices(draw):
         kinds = draw(st.lists(st.sampled_from([str, float, Fraction]), min_size=n * n, max_size=n * n))
         d = [[kinds[r * n + c](d[r][c]) for c in range(n)] for r in range(n)]
     return d
+
+
+def search_past_the_degree_bound(space, k):
+    """Level k's search run from the greedy incumbent down to the root
+    cluster bound.  The degree bound proves cycle levels at the root, so
+    `dim_exact` would not search them at all."""
+    constraints = [(m, k) for m in all_distinguishers(space).reduced_masks]
+    search = solver._Search(constraints, None)
+    floor, _ = _cluster_bound(constraints, search.cache)
+    size, cover = greedy_upper(space, k)
+    search.run(size, cover.to_mask(), floor)
+    return search
 
 
 def outcome(fn):
@@ -513,10 +526,11 @@ class TestClusterMin:
         # cycle:22 solves the same clusters many times over, with different
         # remaining needs: a cache keyed on the masks alone answers 11 at k=11.
         space = make_space(parse_family("cycle:22"))
-        report = dim_exact(space, k, budget_secs=None)
-        assert report.optimum == value == expected_sequence(parse_family("cycle:22")).entries[k - 1]
-        assert report.nodes_explored == nodes
-        assert report.basis.labels(space) == tuple(f"v{i}" for i in range(1, value + 1))
+        search = search_past_the_degree_bound(space, k)
+        assert search.best_size == value == expected_sequence(parse_family("cycle:22")).entries[k - 1]
+        cover, finished = search.lex_min(value, search.best_mask)
+        assert search.nodes == nodes and finished
+        assert PointSet.from_mask(cover).labels(space) == tuple(f"v{i}" for i in range(1, value + 1))
 
     def test_cluster_covers_map_back_through_the_support(self):
         # Two clusters, {1, 3} and {20, 21}: each cover is its cluster's
@@ -539,6 +553,50 @@ class TestClusterMin:
                 assert [contains[b] >> s & 1 for b in range(size)] == [s >> b & 1 for b in range(size)]
                 assert [by_size[j] >> s & 1 for j in range(size + 1)] == [
                     int(s.bit_count() == j) for j in range(size + 1)]
+
+
+def reference_degree(masks):
+    """The most masks any one point lies in, counted point by point."""
+    return max(sum(m >> x & 1 for m in masks) for x in range(max(masks).bit_length()))
+
+
+class TestDegreeBound:
+    @settings(max_examples=300)
+    @given(st.lists(st.tuples(st.integers(min_value=1, max_value=2**70 - 1),
+                              st.integers(min_value=1, max_value=70)), min_size=1, max_size=40))
+    def test_the_bit_planes_count_each_point(self, constraints):
+        masks = [m for m, _ in constraints]
+        top = reference_degree(masks)
+        total = sum(need for _, need in constraints)
+        assert _degree_bound(constraints) == -(-total // top)
+        # ⌈N / D⌉ differs for every D >= 1 once N >= L(L + 1), L >= top the
+        # number of masks, so this bound gives the top count away exactly.
+        spread = len(masks) * (len(masks) + 1)
+        assert _degree_bound([(m, 0) for m in masks] + [(0, spread)]) == -(-spread // top)
+
+    @settings(max_examples=200)
+    @given(clusters(max_size=10))
+    def test_at_most_the_cluster_minimum(self, cluster):
+        members, size = cluster
+        assert _degree_bound(members) <= _exact_cluster_min(members, (1 << size) - 1)[0]
+
+
+class TestLexMin:
+    @settings(max_examples=200)
+    @given(clusters(max_size=10), st.data())
+    def test_the_first_optimal_cover_from_any_witness(self, cluster, data):
+        # Fix-and-probe, with every cluster solved exactly and with none,
+        # gives the scan's first optimal cover whichever optimal cover it
+        # starts from.
+        members, size = cluster
+        value, first = reference_cluster_min(members, size)
+        optimal = [sum(1 << x for x in combo) for combo in combinations(range(size), value)
+                   if all(sum(m >> x & 1 for x in combo) >= need for m, need in members)]
+        witness = data.draw(st.sampled_from(optimal))
+        for cap in (COMPONENT_SUPPORT_CAP, 0):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(solver, "COMPONENT_SUPPORT_CAP", cap)
+                assert solver._Search(list(members), None).lex_min(value, witness) == (first, True)
 
 
 class TestLazyClusterBound:
@@ -567,7 +625,8 @@ class TestLazyClusterBound:
     def test_kernel_calls_per_level(self, monkeypatch):
         # Each level solves only the clusters of nodes that the largest
         # need and the cached values leave open; solving every node's
-        # clusters would make [17, 20, 19, 11, 13, 11, 33, 4] calls.
+        # clusters, with no largest-need test first, would make
+        # [8, 37, 98, 266, 291, 187, 49, 4] calls.
         calls = self.counting_kernel(monkeypatch)
         space = make_space(parse_family("grid-ball:2,3"))
         counts = []
@@ -580,16 +639,17 @@ class TestLazyClusterBound:
             counts.append(len(calls))
             nodes.append(report.nodes_explored)
         assert counts == [0, 0, 2, 1, 1, 1, 1, 1]
-        assert nodes == [73, 123, 89, 116, 68, 62, 66, 8]
+        assert nodes == [52, 110, 71, 105, 57, 53, 58, 8]
 
     @pytest.mark.parametrize("k, calls_made, nodes", [(11, 1170, 3328), (12, 985, 2815)])
     def test_kernel_calls_on_a_cycle(self, monkeypatch, k, calls_made, nodes):
-        # Solving every node's clusters would make 1,962 and 1,644 calls.
+        # Solving every node's clusters, with no largest-need test first,
+        # would make 1,962 and 1,644 calls.
         calls = self.counting_kernel(monkeypatch)
-        report = dim_exact(make_space(parse_family("cycle:22")), k, budget_secs=None)
-        assert (len(calls), report.nodes_explored) == (calls_made, nodes)
+        search = search_past_the_degree_bound(make_space(parse_family("cycle:22")), k)
+        assert (len(calls), search.nodes) == (calls_made, nodes)
 
-    @pytest.mark.parametrize("n, seed, calls_made, nodes", [(15, 19, 1, 7), (16, 12, 2, 15)])
+    @pytest.mark.parametrize("n, seed, calls_made, nodes", [(15, 19, 1, 7), (16, 12, 2, 13)])
     def test_kernel_calls_on_sparse_graphs(self, monkeypatch, n, seed, calls_made, nodes):
         # Nodes whose residuals split into several clusters: a bound that
         # has just reached the limit solves no further cluster (solving on

@@ -9,7 +9,7 @@ import hypothesis.strategies as st
 
 from kmetric import solver
 from kmetric.errors import InstanceTooLarge, KMetricError
-from kmetric.families import make_space, parse_family
+from kmetric.families import expected_sequence, make_space, parse_family
 from kmetric.graphs import build_graph, shortest_path_metric
 from kmetric.randgen import random_connected_graph
 from kmetric.solver import (
@@ -157,13 +157,30 @@ class TestDimExact:
         assert dim_exact(space, 1).basis_kind == "lex_min"
 
     def test_bounded_on_zero_budget(self, monkeypatch):
+        # At cap 0 the root bound is 2, below the optimum 3, so the search runs.
         monkeypatch.setattr(solver, "COMPONENT_SUPPORT_CAP", 0)
-        space = make_space(parse_family("cycle:11"))
-        report = dim_exact(space, 5, budget_secs=-1.0)
+        space = make_space(parse_family("grid-ball:2,3"))
+        report = dim_exact(space, 1, budget_secs=-1.0)
         assert report.status == "bounded"
         low, high = report.bounds
-        assert low <= 6 <= high
-        assert is_k_generator(space, report.basis, 5).valid
+        assert low <= 3 <= high
+        assert is_k_generator(space, report.basis, 1).valid
+
+
+class TestDegreeBound:
+    @given(metric_spaces(max_n=9))
+    @settings(max_examples=60)
+    def test_at_most_the_bruteforce_optimum(self, space):
+        masks = all_distinguishers(space).reduced_masks
+        for k in range(1, max_k(space) + 1):
+            assert solver._degree_bound([(m, k) for m in masks]) <= dim_bruteforce(space, k)
+
+    @pytest.mark.parametrize("family", ["cycle:18", "cycle:22", "cycle:30"])
+    def test_cycle_levels_close_at_the_root(self, family):
+        # The bound is each cycle level's closed form, so no level searches.
+        seq, reports = sequence_with_reports(make_space(parse_family(family)))
+        assert seq.as_values() == expected_sequence(parse_family(family)).entries
+        assert [r.nodes_explored for r in reports] == [0] * len(reports)
 
 
 class TestKernelClosure:
@@ -192,10 +209,10 @@ class TestKernelClosure:
     def test_grid_ball_node_counts(self):
         # Search nodes whose residual clusters are all solved exactly close
         # on the kernel's cover, and a closed cover of floor size ends the
-        # search: going on past it takes k=3 and k=4 to 132 and 167 nodes.
+        # search: going on past it takes k=3 and k=4 to 114 and 156 nodes.
         space = make_space(parse_family("grid-ball:2,3"))
         _, reports = sequence_with_reports(space)
-        assert [r.nodes_explored for r in reports] == [73, 123, 89, 116, 68, 62, 66, 8]
+        assert [r.nodes_explored for r in reports] == [52, 110, 71, 105, 57, 53, 58, 8]
 
 
 def sparse_graph_space(n, seed):
@@ -420,7 +437,7 @@ class TestDimensionSequence:
 
     def test_budget_exhaustion_raises(self, monkeypatch):
         monkeypatch.setattr(solver, "COMPONENT_SUPPORT_CAP", 0)
-        space = make_space(parse_family("cycle:11"))
+        space = make_space(parse_family("grid-ball:2,3"))
         with pytest.raises(KMetricError):
             dimension_sequence(space, budget_secs=-1.0)
         seq, reports = sequence_with_reports(space, budget_secs=-1.0)
