@@ -46,6 +46,8 @@ RUNS = [
      "--format", "json"],
     ["join", "--family", "path:4", "--family2", "interval:4", "--t", "1/2", "--k", "1", "--format", "csv"],
     ["join", "--family", "grid-ball:2,3", "--family2", "free-ball:2,2", "--t", "1", "--k-max", "2", *BOUNDED],
+    ["join", "--family", "sqrt-primes:3", "--family2", "path:3", "--t", "1", "--format", "json"],
+    ["analyze", "--family", "free-ball:5,1", "--k", "1"],
     ["analyze", "--family", "cycle:2"],
     ["analyze", "--input", "missing.json", "--k", "1"],
     ["join", "--family", "path:3", "--family2", "complete:3", "--t", "1"],

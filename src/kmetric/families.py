@@ -171,7 +171,7 @@ def make_grid_ball(rank: int, radius: int) -> Graph:
     return g
 
 
-_GENERATOR_LETTERS = "abcdefghijklm"
+_GENERATOR_LETTERS = "abcdfghijklmn"
 
 
 def _free_inverse(letter: str) -> str:

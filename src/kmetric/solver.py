@@ -24,11 +24,8 @@ Search design (deterministic):
   * a root the clusters leave open below the greedy value also gets the
     degree bound ⌈Σ need / D⌉, D the most constraints one point lies in
     (the LP dual with every y_c = 1/D), in integers; search nodes skip it;
-  * a search node takes its bounds cheapest first and stops at the first
-    that prunes it: the largest residual need, then the cluster sum with
-    cached values and packings, each uncached small cluster counted at its
-    largest need, then exact solves of those clusters while the node is
-    still open (the root solves every small cluster);
+  * a search node first tests its largest residual need, then the
+    cluster sum, the same bound as at the root;
   * when every cluster of a node's residual constraints was solved
     exactly, the node is closed: its best cover is the union of the
     clusters' lex-min covers, and nothing is branched on;
@@ -308,56 +305,40 @@ def _exact_cluster_min(members: tuple[tuple[int, int], ...], support_mask: int) 
     return value, cover
 
 
-def _cluster_bound(residuals: Sequence[tuple[int, int]], cache: dict,
-                   limit: int | None = None) -> tuple[int, int | None]:
+def _cluster_bound(residuals: Sequence[tuple[int, int]], cache: dict) -> tuple[int, int | None]:
     """Partition constraints into support-disjoint clusters and bound each.
 
     Clusters of at most COMPONENT_SUPPORT_CAP points are solved exactly,
-    memoized on their distinct members as they are; larger ones fall back
-    to the packing bound.  Cluster bounds add up: clusters share no points.
-
-    Cached values and packings are summed first, and each uncached small
-    cluster counts its largest need (every cover of it has that many
-    points), kept as the clusters merge, until it is solved.  Those clusters are then solved one by
-    one, each solve cached.  With a `limit`, the bound is returned as it
-    stands once the total reaches `limit`; without one every small
-    cluster is solved.
+    memoized on their distinct members; larger ones fall back to the
+    packing bound.  Cluster bounds add up: clusters share no points.
 
     Returns (bound, cover).  When every cluster was solved exactly, the
     bound is the optimum and `cover` is the lex-min optimal cover: the
     union of the clusters' lex-min covers, as the clusters share no points
     and no optimal cover holds a point outside them.  `cover` is None when
-    some cluster was bounded by packing, or when the bound reached `limit`
-    before every small cluster was solved.
+    some cluster was bounded by packing.
     """
-    # (support mask, members, largest need); a merge keeps the largest need
-    clusters: list[tuple[int, list[tuple[int, int]], int]] = []
+    clusters: list[tuple[int, list[tuple[int, int]]]] = []  # (support mask, members)
     for mask, need in residuals:
         merged_mask = mask
         merged_members = [(mask, need)]
-        top = need
         rest = []
-        for cmask, members, ctop in clusters:
+        for cmask, members in clusters:
             if cmask & mask:
                 merged_mask |= cmask
                 merged_members.extend(members)
-                if ctop > top:
-                    top = ctop
             else:
-                rest.append((cmask, members, ctop))
-        rest.append((merged_mask, merged_members, top))
+                rest.append((cmask, members))
+        rest.append((merged_mask, merged_members))
         clusters = rest
     total = 0
     cover = 0
-    queued = []  # (key, support mask, largest need) of clusters to solve
-    for cmask, members, top in clusters:
-        if cmask.bit_count() <= COMPONENT_SUPPORT_CAP and len(members) <= 64:
+    for cmask, members in clusters:
+        if cmask.bit_count() <= COMPONENT_SUPPORT_CAP:
             key = tuple(sorted(set(members)))
             solved = cache.get(key)
             if solved is None:
-                queued.append((key, cmask, top))
-                total += top
-                continue
+                solved = cache[key] = _exact_cluster_min(key, cmask)
             value, subset = solved
             total += value
             if cover is not None:
@@ -365,13 +346,6 @@ def _cluster_bound(residuals: Sequence[tuple[int, int]], cache: dict,
         else:
             total += _packing_bound(members)
             cover = None
-    for key, cmask, stand_in in queued:
-        if limit is not None and total >= limit:
-            return total, None
-        value, subset = cache[key] = _exact_cluster_min(key, cmask)
-        total += value - stand_in
-        if cover is not None:
-            cover |= subset
     return total, cover
 
 
@@ -493,11 +467,11 @@ class _Search:
         if not residuals:
             self._record(chosen)
             return
-        # bounds from cheapest to dearest, stopping once one prunes
+        # the largest need is the cheapest bound: test it before partitioning
         left = self.best_size - chosen.bit_count()
         if max(need for _, need in residuals) >= left:
             return
-        bound, cover = _cluster_bound(residuals, self.cache, left)
+        bound, cover = _cluster_bound(residuals, self.cache)
         if cover is not None:
             # every cluster was solved exactly: the best cover below this
             # node is known, so there is nothing to branch on

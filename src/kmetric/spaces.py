@@ -518,6 +518,8 @@ def join(a: FiniteMetricSpace, b: FiniteMetricSpace, t) -> FiniteMetricSpace:
     For t > 0 the result is a metric by construction: a capped distance is
     at most 2t = t + t, and every two-step path between the parts takes one
     cross step of length t.  So it is built directly, without a re-check.
+    A part's quantization record carries over, the smaller digit count
+    when both parts have one.
     """
     t = Fraction(t)
     if t <= 0:
@@ -531,7 +533,11 @@ def join(a: FiniteMetricSpace, b: FiniteMetricSpace, t) -> FiniteMetricSpace:
     to_b, to_a = (cross,) * b.n, (cross,) * a.n
     z = (tuple(tuple(min(x * up_a, cap) for x in row) + to_b for row in a._int_dist)
          + tuple(to_a + tuple(min(x * up_b, cap) for x in row) for row in b._int_dist))
-    return _from_scaled(a.labels + b.labels, z, scale)
+    # a record that is not a digit count (hand-written meta) is not carried
+    digits = [d for d in (a.meta.get("quantization_digits"), b.meta.get("quantization_digits"))
+              if type(d) is int]
+    meta = {"quantization_digits": min(digits)} if digits else None
+    return _from_scaled(a.labels + b.labels, z, scale, meta)
 
 
 def permute_space(space: FiniteMetricSpace, perm: Iterable[int]) -> FiniteMetricSpace:

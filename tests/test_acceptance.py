@@ -16,18 +16,29 @@ that has it:
   resolve it.
 """
 
+import contextlib
 import json
 import random
 import time
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
+
 from kmetric import cli
 from kmetric.families import divergence_evidence, gaussian_label, make, make_space, parse_family
 from kmetric.randgen import random_connected_graph
 from kmetric.graphs import shortest_path_metric
 from kmetric.solver import dim_bruteforce, dim_exact, dimension_sequence
-from kmetric.spaces import bisector, build_space, is_k_generator, join, max_k, truncate
+from kmetric.spaces import (
+    TwoPointSpaceWarning,
+    bisector,
+    build_space,
+    is_k_generator,
+    join,
+    max_k,
+    truncate,
+)
 from kmetric.verify import (
     bipartite_suite,
     join_suite,
@@ -65,7 +76,9 @@ def test_c02_complete_graphs():
 def test_c03_paths():
     start = time.monotonic()
     for n in range(2, 11):
-        seq = dimension_sequence(make_space(parse_family(f"path:{n}")))
+        with pytest.warns(TwoPointSpaceWarning) if n == 2 else contextlib.nullcontext():
+            space = make_space(parse_family(f"path:{n}"))
+        seq = dimension_sequence(space)
         if n <= 3:
             assert seq.as_values() == (1, 2)
             assert seq.tail_start == 3

@@ -78,6 +78,12 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(out)["dim"] == 2
 
+    def test_free_ball_of_rank_5(self, capsys):
+        # a star on 11 points: the 10 leaves but one resolve it
+        code, out = run(capsys, "analyze", "--family", "free-ball:5,1", "--k", "1", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["dim"] == 9
+
     def test_budget_exhaustion_exit_code(self, capsys):
         # a microsecond deadline has passed by the search's first node
         code, out = run(capsys, "analyze", "--family", "grid-ball:2,3", "--k", "1",
@@ -359,6 +365,12 @@ class TestJoin:
         assert code == 0
         assert out.splitlines()[0] == "k,dim_a,dim_b,sum,dim_a_trunc,dim_b_trunc,dim_join,relation"
         assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["1", "2"]
+
+    def test_the_joined_space_keeps_the_quantization_record(self, capsys):
+        code, out = run(capsys, "join", "--family", "sqrt-primes:3", "--family2", "path:3",
+                        "--t", "1", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["space"]["meta"] == {"quantization_digits": 12}
 
     def test_missing_t(self, segments, capsys):
         a, b = segments

@@ -125,6 +125,15 @@ class TestCounts:
             g = make(FamilySpec("free_ball", (rank, radius)))
             assert g.n == count
 
+    @pytest.mark.parametrize("rank", range(1, 14))
+    def test_every_free_ball_rank_is_a_star_at_radius_1(self, rank):
+        # From rank 5 on, a generator letter "e" would take the identity's label.
+        g = make(FamilySpec("free_ball", (rank, 1)))
+        assert g.n == 2 * rank + 1 and len(set(g.labels)) == g.n
+        assert sorted(g.degree(v) for v in range(g.n)) == [1] * (2 * rank) + [2 * rank]
+        dim = dim_exact(shortest_path_metric(g), 1).optimum
+        assert dim == 2 * rank - 1 == (tree_dim1_oracle(g) if rank > 1 else 1)
+
     def test_ladder(self):
         g = make(parse_family("ladder:6"))
         assert g.n == 26

@@ -203,6 +203,39 @@ def reference_cluster_min(members, size):
     return size, (1 << size) - 1
 
 
+def reference_cluster_bound(residuals):
+    """Union-find over the constraints, joining two whose masks intersect;
+    then each cluster's exact solve (support at most COMPONENT_SUPPORT_CAP
+    points) or packing bound.  Returns (bound, cover, keys): the sum, the
+    union of the exact covers or None, and the small clusters' memo keys."""
+    parent = list(range(len(residuals)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, j in combinations(range(len(residuals)), 2):
+        if residuals[i][0] & residuals[j][0]:
+            parent[find(i)] = find(j)
+    groups = {}
+    for i, constraint in enumerate(residuals):
+        groups.setdefault(find(i), []).append(constraint)
+    bound, cover, keys = 0, 0, set()
+    for members in groups.values():
+        support = reduce(or_, (mask for mask, _ in members))
+        if support.bit_count() <= COMPONENT_SUPPORT_CAP:
+            key = tuple(sorted(set(members)))
+            value, subset = _exact_cluster_min(key, support)
+            keys.add(key)
+            cover = None if cover is None else cover | subset
+        else:
+            value = solver._packing_bound(members)
+            cover = None
+        bound += value
+    return bound, cover, keys
+
+
 # --- strategies ---------------------------------------------------------------
 
 @st.composite
@@ -220,17 +253,18 @@ def clusters(draw, max_size=COMPONENT_SUPPORT_CAP):
 
 
 @st.composite
-def residual_lists(draw):
-    """Residual constraints of 1 to 4 drawn clusters, laid over disjoint
-    13-point blocks, and maybe a path of edges too wide to solve exactly,
-    in a drawn order."""
-    residuals = []
-    for block in range(draw(st.integers(min_value=1, max_value=4))):
-        members, _ = draw(clusters())
-        residuals.extend((mask << 13 * block, need) for mask, need in members[:8])
-    if draw(st.booleans()):
-        residuals.extend((0b11 << 60 + b, 1) for b in range(COMPONENT_SUPPORT_CAP))
-    return draw(st.permutations(residuals))
+def chained_residuals(draw):
+    """Up to 16 residual constraints of 1 to 4 points among 30, so that
+    clusters chain-merge and some grow past COMPONENT_SUPPORT_CAP points.
+    A repeated mask keeps its need: a packing then does not depend on the
+    order of a cluster's members."""
+    masks = draw(st.lists(st.sets(st.integers(min_value=0, max_value=29), min_size=1, max_size=4)
+                          .map(lambda points: sum(1 << b for b in points)), min_size=1, max_size=16))
+    needs = {}
+    for mask in masks:
+        if mask not in needs:
+            needs[mask] = draw(st.integers(min_value=1, max_value=mask.bit_count()))
+    return [(mask, needs[mask]) for mask in masks]
 
 
 @st.composite
@@ -600,20 +634,31 @@ class TestLexMin:
 
 
 class TestLazyClusterBound:
-    """A search node stops solving clusters once its bound reaches the
-    limit; the root, with no limit, solves them all."""
+    """The cluster bound solves every small cluster of a node's residuals;
+    a search node tests its largest need first and builds no partition
+    when that prunes."""
 
-    @settings(max_examples=100)
-    @given(residual_lists(), st.data())
-    def test_a_limited_bound_is_the_eager_one_or_stops_at_the_limit(self, residuals, data):
-        eager, eager_cover = _cluster_bound(residuals, {})
+    @settings(max_examples=300)
+    @given(chained_residuals(), st.data())
+    def test_the_sum_over_the_union_find_clusters(self, residuals, data):
+        # A cache filled by a call on a prefix of the residuals serves the
+        # call on all of them; every entry is its key's exact solve.
         cache = {}
-        for limit in data.draw(st.permutations(range(eager + 2))):
-            bound, cover = _cluster_bound(residuals, cache, limit)
-            assert (bound, cover) == (eager, eager_cover) or (
-                cover is None and limit <= bound <= eager)
+        prefix = residuals[:data.draw(st.integers(min_value=0, max_value=len(residuals)))]
+        for part in (prefix, residuals):
+            bound, cover, keys = reference_cluster_bound(part)
+            assert _cluster_bound(part, cache) == (bound, cover)
+            assert keys <= set(cache)
+        assert set(cache) == reference_cluster_bound(prefix)[2] | keys
         for key, solved in cache.items():
             assert solved == _exact_cluster_min(key, reduce(or_, (mask for mask, _ in key)))
+
+    def test_a_small_cluster_of_many_members_is_solved(self):
+        # The 66 edges of the complete graph on 12 points: every cover
+        # misses at most one point, so the lex-min one is points 0..10.
+        # Their packing bound would be 6.
+        edges = [(1 << a | 1 << b, 1) for a, b in combinations(range(12), 2)]
+        assert _cluster_bound(edges, {}) == (11, (1 << 11) - 1)
 
     @staticmethod
     def counting_kernel(monkeypatch):
@@ -623,10 +668,9 @@ class TestLazyClusterBound:
         return calls
 
     def test_kernel_calls_per_level(self, monkeypatch):
-        # Each level solves only the clusters of nodes that the largest
-        # need and the cached values leave open; solving every node's
-        # clusters, with no largest-need test first, would make
-        # [8, 37, 98, 266, 291, 187, 49, 4] calls.
+        # Each level solves only the uncached clusters of nodes that the
+        # largest need leaves open; with no largest-need test first, it
+        # would make [8, 37, 98, 266, 291, 187, 49, 4] calls.
         calls = self.counting_kernel(monkeypatch)
         space = make_space(parse_family("grid-ball:2,3"))
         counts = []
@@ -643,17 +687,16 @@ class TestLazyClusterBound:
 
     @pytest.mark.parametrize("k, calls_made, nodes", [(11, 1170, 3328), (12, 985, 2815)])
     def test_kernel_calls_on_a_cycle(self, monkeypatch, k, calls_made, nodes):
-        # Solving every node's clusters, with no largest-need test first,
+        # With no largest-need test first, the cluster sum of every node
         # would make 1,962 and 1,644 calls.
         calls = self.counting_kernel(monkeypatch)
         search = search_past_the_degree_bound(make_space(parse_family("cycle:22")), k)
         assert (len(calls), search.nodes) == (calls_made, nodes)
 
-    @pytest.mark.parametrize("n, seed, calls_made, nodes", [(15, 19, 1, 7), (16, 12, 2, 13)])
+    @pytest.mark.parametrize("n, seed, calls_made, nodes", [(15, 19, 5, 7), (16, 12, 5, 13)])
     def test_kernel_calls_on_sparse_graphs(self, monkeypatch, n, seed, calls_made, nodes):
-        # Nodes whose residuals split into several clusters: a bound that
-        # has just reached the limit solves no further cluster (solving on
-        # while it only equals the limit makes 5 calls in each case).
+        # Nodes whose residuals split into several clusters: each node the
+        # largest need leaves open solves all of its uncached clusters.
         calls = self.counting_kernel(monkeypatch)
         graph = random_connected_graph(n, random.Random(seed), edge_prob=0.15)
         report = dim_exact(shortest_path_metric(graph), 1)

@@ -221,8 +221,8 @@ def sparse_graph_space(n, seed):
 
 class TestSparseGraphs:
     """Sparse graphs split their residual constraints into several small
-    clusters, so search nodes close on a union of cluster covers or stop
-    part way through solving their clusters."""
+    clusters, so search nodes close on a union of cluster covers or, when a
+    cluster is too wide to solve, branch on."""
 
     @pytest.mark.parametrize("n", range(12, 17))
     def test_matches_bruteforce(self, n):
@@ -235,9 +235,8 @@ class TestSparseGraphs:
                 assert report.optimum == dim_bruteforce(space, k), (n, seed, k)
 
     def test_a_node_stopped_part_way_leaves_no_cover(self):
-        # A node bound cut short once it reaches the incumbent must not
-        # close on the covers of the clusters solved so far: taking them
-        # as the node's best cover reports dim 1 with basis g2.
+        # Its search nodes split into several clusters, some too wide to
+        # solve: a node closes only when every cluster was solved exactly.
         space = sparse_graph_space(13, 37)
         report = dim_exact(space, 1)
         assert report.optimum == 3 == dim_bruteforce(space, 1)

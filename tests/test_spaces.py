@@ -328,6 +328,16 @@ class TestJoin:
         with pytest.raises(LabelCollision):
             join(space, space, 1)
 
+    def test_the_quantization_record_carries_over(self):
+        line = make_space(parse_family("sqrt-primes:3"))
+        coarse = build_space(["c0", "c1", "c2"], discrete(3).dist, {"quantization_digits": 6})
+        hand = build_space(["h0", "h1", "h2"], discrete(3).dist, {"quantization_digits": "twelve"})
+        assert dict(join(line, discrete(3), 1).meta) == {"quantization_digits": 12}
+        assert dict(join(discrete(3), line, 1).meta) == {"quantization_digits": 12}
+        assert dict(join(line, coarse, 1).meta) == {"quantization_digits": 6}
+        assert dict(join(hand, line, 1).meta) == {"quantization_digits": 12}
+        assert dict(join(discrete(3), hand, 1).meta) == {}
+
     def test_nonpositive_t(self):
         a = discrete(3)
         c = build_space(["x", "y", "z"], [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
