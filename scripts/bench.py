@@ -5,8 +5,10 @@ Usage: python scripts/bench.py
 
 Each row is one `dim_exact` call with no budget and no `prev_dim`, run 3
 times on the source tree next to this script.  A row records the median
-wall time, the node count, the optimum and the basis labels; the file also
-records the Python version and `os.cpu_count()`.  Before anything is
+wall time, the node count, the optimum and the basis labels, and
+`main_nodes`, the nodes of one more call with `lex_min=False`: the main
+search alone, without the lex-min rebuild.  The file also records the
+Python version and `os.cpu_count()`.  Before anything is
 written, every optimum must equal its known value, every basis must be a
 k-generator of that size, and both must equal those of the same row in the
 newest BENCH_<m>.json at the repository root with m <= NUMBER, if there is
@@ -36,7 +38,7 @@ from kmetric.spaces import is_k_generator  # noqa: E402
 
 # The file this script writes is BENCH_<NUMBER>.json; when a solver change
 # moves a row, raise NUMBER so the earlier file stays as the trajectory.
-NUMBER = 19
+NUMBER = 22
 RUNS = 3
 
 
@@ -73,6 +75,9 @@ def measure(name, build, k):
     [(status, optimum, indices, nodes)] = answers
     if len(indices) != optimum or not is_k_generator(space, indices, k).valid:
         raise SystemExit(f"error: {name}: the basis {indices} is not an optimal {k}-generator")
+    main = dim_exact(space, k, budget_secs=None, lex_min=False)
+    if (main.status, main.optimum.value) != (status, optimum):
+        raise SystemExit(f"error: {name}: the main search alone gives {main.status} {main.optimum}")
     return {
         "name": name,
         "k": k,
@@ -81,6 +86,7 @@ def measure(name, build, k):
         "optimum": optimum,
         "basis": [space.labels[i] for i in indices],
         "nodes": nodes,
+        "main_nodes": main.nodes_explored,
         "wall_s": round(statistics.median(walls), 4),
     }
 
@@ -100,7 +106,8 @@ def main() -> int:
     for name, build, k, _ in ROWS:
         row = measure(name, build, k)
         rows.append(row)
-        print(f"{name:<20} optimum {row['optimum']:>3}  nodes {row['nodes']:>8}  {row['wall_s']:.3f} s",
+        print(f"{name:<20} optimum {row['optimum']:>3}  nodes {row['nodes']:>8}"
+              f"  main {row['main_nodes']:>8}  {row['wall_s']:.3f} s",
               file=sys.stderr)
     problems = []
     for (name, _, _, known), row in zip(ROWS, rows):

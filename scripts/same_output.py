@@ -4,10 +4,10 @@
 Usage: python scripts/same_output.py OLD_TREE NEW_TREE
 
 Each run of a fixed list of `kmetric` invocations (every subcommand in
-each of its formats, truncated inputs, runs bounded by a 1e-9 s budget,
-and input errors) is made in a fresh interpreter against each tree's
-`src/`, from an empty working directory.  Exit code, stdout and stderr
-are compared byte for byte.  One SAME or DIFF line is printed per run,
+each of its formats, truncated inputs, unbudgeted runs whose levels need
+search, runs bounded by a 1e-9 s budget, and input errors) is made in a
+fresh interpreter against each tree's `src/`, from an empty working
+directory.  Exit code, stdout and stderr are compared byte for byte.  One SAME or DIFF line is printed per run,
 and the script exits 1 when any run differs.
 """
 
@@ -32,9 +32,12 @@ RUNS = [
     ["sequence", "--family", "ladder:6", "--format", "csv"],
     ["sequence", "--family", "petersen"],
     ["sequence", "--family", "cycle:10", "--t", "2", "--format", "json"],
+    ["sequence", "--family", "grid-ball:2,3", "--format", "json"],
+    ["sequence", "--family", "ladder:10", "--format", "json"],
     ["sequence", "--family", "grid-ball:2,3", "--format", "json", *BOUNDED],
     ["sequence", "--family", "grid-ball:2,3", "--format", "csv", *BOUNDED],
     ["verify", "--suite", "monotonicity", "--random", "5", "--n", "7", "--format", "json"],
+    ["verify", "--suite", "monotonicity", "--random", "20", "--n", "12", "--seed", "5", "--format", "json"],
     ["verify", "--suite", "truncation", "--random", "4", "--n", "7", "--s", "1/2", "--t", "3/2"],
     ["verify", "--suite", "truncation", "--random", "13", "--n", "14", "--seed", "3", "--format", "json",
      *BOUNDED],
@@ -47,6 +50,7 @@ RUNS = [
     ["join", "--family", "path:4", "--family2", "interval:4", "--t", "1/2", "--k", "1", "--format", "csv"],
     ["join", "--family", "grid-ball:2,3", "--family2", "free-ball:2,2", "--t", "1", "--k-max", "2", *BOUNDED],
     ["join", "--family", "sqrt-primes:3", "--family2", "path:3", "--t", "1", "--format", "json"],
+    ["join", "--family", "grid-ball:2,3", "--family2", "path:3", "--t", "1", "--k-max", "3", "--format", "json"],
     ["analyze", "--family", "free-ball:5,1", "--k", "1"],
     ["analyze", "--family", "cycle:2"],
     ["analyze", "--input", "missing.json", "--k", "1"],

@@ -15,7 +15,9 @@ the parsed namespace directly.
 Runs are reproducible: the same arguments produce byte-identical JSON/CSV
 output, so timing never appears in the payload.  An analyze run whose
 budget ran out while the lex-min basis was being chosen is not: it says so
-with `"basis_kind": "witness"` and a `note:` line on stderr.
+with `"basis_kind": "witness"` and a `note:` line on stderr.  Only analyze
+prints a basis, so only it has the lex-min one rebuilt; sequence and join
+solve with `lex_min=False`.
 """
 
 from __future__ import annotations
@@ -167,7 +169,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_sequence(args: argparse.Namespace) -> int:
     space, source = _load_truncated(args)
     cap = max_k(space)
-    seq, reports = sequence_with_reports(space, args.k_max, budget_secs=args.budget_secs)
+    seq, reports = sequence_with_reports(space, args.k_max, budget_secs=args.budget_secs, lex_min=False)
     payload: dict = {
         "source": source,
         "n": space.n,

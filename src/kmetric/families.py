@@ -419,7 +419,7 @@ def divergence_evidence(family: str, radii, *, rank: int = 2,
 
 
 def _dim1(space: FiniteMetricSpace, budget_secs) -> int:
-    report = dim_exact(space, 1, budget_secs=budget_secs)
+    report = dim_exact(space, 1, budget_secs=budget_secs, lex_min=False)
     if report.status != "optimal":
         raise KMetricError(f"budget exhausted computing dim_1: bounds {report.bounds}")
     return report.optimum.value

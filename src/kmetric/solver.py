@@ -26,6 +26,9 @@ Search design (deterministic):
     (the LP dual with every y_c = 1/D), in integers; search nodes skip it;
   * a search node first tests its largest residual need, then the
     cluster sum, the same bound as at the root;
+  * a node with two points to spare (a better cover adds one more) has
+    only need-1 residuals, and closes on the AND of their masks: an empty
+    AND prunes it, and otherwise its lowest point completes a cover;
   * when every cluster of a node's residual constraints was solved
     exactly, the node is closed: its best cover is the union of the
     clusters' lex-min covers, and nothing is branched on;
@@ -45,7 +48,10 @@ Two rules decide points in bulk without a probe: a constraint that still
 needs as many points as are left to add must hold all of them, so every
 point outside such tight constraints is turned down; and the points of the
 current optimal witness that lie below the lowest other candidate are kept
-together.
+together.  Only a caller that prints the basis needs this rebuild:
+`dim_exact(..., lex_min=False)` skips it and reports the optimal witness
+the search ended with, and `dimension_sequence`, the `sequence` and `join`
+commands and the verify suites do so; `analyze` does not.
 """
 
 from __future__ import annotations
@@ -179,8 +185,9 @@ class SolveReport:
     status: str  # "optimal" (exact, possibly infinite) or "bounded" (budget ran out)
     bounds: tuple[int, int] | None = None  # (proven lower, incumbent) when bounded
     # "lex_min": the basis of an optimal report is the lexicographically
-    # smallest optimal set; "witness": the lex-min phase ran out of time and
-    # the basis is some optimal set.
+    # smallest optimal set; "witness": the basis is some optimal set, because
+    # the lex-min phase ran out of time or the caller skipped it
+    # (`dim_exact(..., lex_min=False)`).
     basis_kind: str = "lex_min"
 
 
@@ -471,6 +478,15 @@ class _Search:
         left = self.best_size - chosen.bit_count()
         if max(need for _, need in residuals) >= left:
             return
+        if left == 2:
+            # a better cover adds one point, so every residual need is 1
+            # and that point lies in every residual mask
+            common = -1
+            for mask, _ in residuals:
+                common &= mask
+            if common:
+                self._record(chosen | (common & -common))
+            return
         bound, cover = _cluster_bound(residuals, self.cache)
         if cover is not None:
             # every cluster was solved exactly: the best cover below this
@@ -544,7 +560,7 @@ class _Search:
 
 
 def dim_exact(space: FiniteMetricSpace, k: int, *, budget_secs: float | None = DEFAULT_BUDGET_SECS,
-              prev_dim: int | None = None) -> SolveReport:
+              prev_dim: int | None = None, lex_min: bool = True) -> SolveReport:
     """Exact k-metric dimension via branch-and-bound multicover search.
 
     `prev_dim` feeds the previous sequence level in as a lower bound.  When
@@ -558,6 +574,14 @@ def dim_exact(space: FiniteMetricSpace, k: int, *, budget_secs: float | None = D
     (`_Search.lex_min`).  One `_Search` serves the level: the root bound
     reads its cluster cache, and the report's node count is its `nodes`,
     main search and probes together.
+
+    With `lex_min=False` the rebuild is skipped: a level the cluster kernel
+    did not close reports the optimal cover it already has, the search's
+    best or the greedy one, with `basis_kind` "witness".  The rebuild
+    starts only once the optimum is proved, so optimum, status, bounds,
+    trace and greedy value are the same either way.  Callers that never
+    read the basis (`sequence`, `join`, the verify suites, the divergence
+    evidence) pass False; `analyze` prints the lex-min basis.
 
     On budget exhaustion the report carries status "bounded" with the
     proven (lower, incumbent) interval instead of an exact optimum.  If
@@ -591,7 +615,7 @@ def dim_exact(space: FiniteMetricSpace, k: int, *, budget_secs: float | None = D
     if root_lb > greedy_value:
         raise AssertionError(
             f"lower bound {root_lb} exceeds the greedy solution {greedy_value}: bound bug")
-    status, bounds, lex_finished = "optimal", None, True
+    status, bounds, is_lex_min = "optimal", None, True
     if cover is not None:
         # every cluster was solved exactly: the optimum and its lex-min cover
         if cluster_value != root_lb:
@@ -608,28 +632,30 @@ def dim_exact(space: FiniteMetricSpace, k: int, *, budget_secs: float | None = D
             status, bounds = "bounded", (root_lb, search.best_size)
             optimum, basis_mask = search.best_size, search.best_mask
         else:
-            basis_mask, lex_finished = search.lex_min(optimum, witness)
+            basis_mask, is_lex_min = search.lex_min(optimum, witness) if lex_min else (witness, False)
     return SolveReport(
         k=k, optimum=ExtendedNat(optimum), basis=PointSet.from_mask(basis_mask),
         lower_bound_trace=tuple(trace), nodes_explored=search.nodes, greedy_value=greedy_value,
-        status=status, bounds=bounds, basis_kind="lex_min" if lex_finished else "witness",
+        status=status, bounds=bounds, basis_kind="lex_min" if is_lex_min else "witness",
     )
 
 
 def sequence_with_reports(space: FiniteMetricSpace, k_max: int | None = None, *,
-                          budget_secs: float | None = DEFAULT_BUDGET_SECS) -> tuple[DimensionSequence | None, list[SolveReport]]:
+                          budget_secs: float | None = DEFAULT_BUDGET_SECS,
+                          lex_min: bool = True) -> tuple[DimensionSequence | None, list[SolveReport]]:
     """Solve dimension levels k = 1..min(k_max, max_k).
 
     Returns the sequence plus per-level reports; the sequence is None when
     some level only bounded its optimum (budget ran out), in which case the
-    reports carry the interval information.
+    reports carry the interval information.  `lex_min` goes to every
+    level's `dim_exact`; False skips the rebuild of the lex-min bases.
     """
     cap = max_k(space)
     horizon = cap if k_max is None else min(k_max, cap)
     reports: list[SolveReport] = []
     prev: int | None = None
     for k in range(1, horizon + 1):
-        report = dim_exact(space, k, budget_secs=budget_secs, prev_dim=prev)
+        report = dim_exact(space, k, budget_secs=budget_secs, prev_dim=prev, lex_min=lex_min)
         reports.append(report)
         if report.status != "optimal":
             return None, reports
@@ -640,8 +666,10 @@ def sequence_with_reports(space: FiniteMetricSpace, k_max: int | None = None, *,
 
 def dimension_sequence(space: FiniteMetricSpace, k_max: int | None = None, *,
                        budget_secs: float | None = DEFAULT_BUDGET_SECS) -> DimensionSequence:
-    """Dimension sequence up to k_max (default: the feasibility cap max_k)."""
-    seq, reports = sequence_with_reports(space, k_max, budget_secs=budget_secs)
+    """Dimension sequence up to k_max (default: the feasibility cap max_k).
+
+    No basis is returned, so no level rebuilds the lex-min one."""
+    seq, reports = sequence_with_reports(space, k_max, budget_secs=budget_secs, lex_min=False)
     if seq is None:
         bounded = reports[-1]
         raise KMetricError(

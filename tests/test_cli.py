@@ -5,6 +5,7 @@ import json
 import pytest
 
 from kmetric import cli, solver, verify
+from kmetric.families import make_space, parse_family
 from kmetric.solver import DEFAULT_BUDGET_SECS
 from kmetric.verify import SuiteResult
 
@@ -106,7 +107,7 @@ class TestAnalyze:
         assert json.loads(out)["dim"] == 2
 
     @pytest.mark.parametrize("family, dim, nodes, trace, basis", [
-        ("grid-ball:2,5", 3, 191, [["requirement", 1], ["clusters", 2], ["degree", 2]],
+        ("grid-ball:2,5", 3, 22, [["requirement", 1], ["clusters", 2], ["degree", 2]],
          ["(-5,0)", "(-4,-1)", "(5,0)"]),
         ("petersen", 3, 0, [["requirement", 1], ["clusters", 3]],
          ["u1", "u3", "v4"]),
@@ -648,3 +649,45 @@ class TestParserSurface:
             cli.main(argv)
         assert err.value.code == 2
         assert capsys.readouterr().out == ""
+
+
+class TestWhoRebuildsTheLexMinBasis:
+    """Only `analyze` prints a basis, so only it runs the lex-min phase;
+    every other caller passes `lex_min=False` (the divergence evidence is
+    checked in `test_families.py`)."""
+
+    @staticmethod
+    def spy(monkeypatch, module, name):
+        seen = []
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            seen.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+        return seen
+
+    @pytest.mark.parametrize("module, name, call", [
+        (cli, "sequence_with_reports", lambda: cli.main(["sequence", "--family", "grid-ball:2,2"])),
+        (solver, "sequence_with_reports",
+         lambda: solver.dimension_sequence(make_space(parse_family("grid-ball:2,2")))),
+        (verify, "dim_exact", lambda: cli.main(["join", "--family", "interval:3", "--family2", "sqrt-primes:3",
+                                                "--t", "1", "--k-max", "2"])),
+        (verify, "dim_exact", lambda: verify.truncation_suite(2, 6)),
+        (verify, "dim_exact", lambda: verify.join_suite(2, 4)),
+        (verify, "dim_exact", lambda: verify.join_trivial_suite(2, 4)),
+        (verify, "sequence_with_reports", lambda: verify.monotonicity_suite(2, 6)),
+    ], ids=["sequence", "dimension_sequence", "join", "truncation", "join-suite", "join-trivial",
+            "monotonicity"])
+    def test_callers_that_drop_the_basis_skip_it(self, capsys, monkeypatch, module, name, call):
+        seen = self.spy(monkeypatch, module, name)
+        call()
+        assert seen and all(kwargs["lex_min"] is False for kwargs in seen)
+
+    def test_analyze_keeps_the_default(self, capsys, monkeypatch):
+        seen = self.spy(monkeypatch, cli, "dim_exact")
+        code, out = run(capsys, "analyze", "--family", "grid-ball:2,5", "--k", "1", "--format", "json")
+        assert code == 0
+        assert seen == [{"budget_secs": DEFAULT_BUDGET_SECS}]
+        assert "basis_kind" not in json.loads(out)

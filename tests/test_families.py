@@ -262,7 +262,7 @@ class TestDivergenceEvidence:
 
         monkeypatch.setattr(families, "dim_exact", spy)
         divergence_evidence("ladder", (2, 3), **given)
-        assert seen == [{"budget_secs": passed}] * 2
+        assert seen == [{"budget_secs": passed, "lex_min": False}] * 2
 
     def test_bad_arguments(self):
         with pytest.raises(BadFamilyParams):

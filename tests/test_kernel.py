@@ -669,8 +669,8 @@ class TestLazyClusterBound:
 
     def test_kernel_calls_per_level(self, monkeypatch):
         # Each level solves only the uncached clusters of nodes that the
-        # largest need leaves open; with no largest-need test first, it
-        # would make [8, 37, 98, 266, 291, 187, 49, 4] calls.
+        # largest need and the need-1 AND leave open; with no largest-need
+        # test first, it would make [8, 37, 98, 266, 291, 187, 49, 4] calls.
         calls = self.counting_kernel(monkeypatch)
         space = make_space(parse_family("grid-ball:2,3"))
         counts = []
@@ -682,8 +682,8 @@ class TestLazyClusterBound:
             prev = report.optimum.value
             counts.append(len(calls))
             nodes.append(report.nodes_explored)
-        assert counts == [0, 0, 2, 1, 1, 1, 1, 1]
-        assert nodes == [52, 110, 71, 105, 57, 53, 58, 8]
+        assert counts == [0, 0, 0, 0, 1, 1, 0, 1]
+        assert nodes == [12, 97, 71, 105, 57, 53, 58, 8]
 
     @pytest.mark.parametrize("k, calls_made, nodes", [(11, 1170, 3328), (12, 985, 2815)])
     def test_kernel_calls_on_a_cycle(self, monkeypatch, k, calls_made, nodes):
@@ -693,10 +693,11 @@ class TestLazyClusterBound:
         search = search_past_the_degree_bound(make_space(parse_family("cycle:22")), k)
         assert (len(calls), search.nodes) == (calls_made, nodes)
 
-    @pytest.mark.parametrize("n, seed, calls_made, nodes", [(15, 19, 5, 7), (16, 12, 5, 13)])
+    @pytest.mark.parametrize("n, seed, calls_made, nodes", [(15, 19, 5, 7), (16, 12, 0, 8)])
     def test_kernel_calls_on_sparse_graphs(self, monkeypatch, n, seed, calls_made, nodes):
         # Nodes whose residuals split into several clusters: each node the
-        # largest need leaves open solves all of its uncached clusters.
+        # largest need leaves open solves all of its uncached clusters,
+        # unless it has two points to spare and closes on the need-1 AND.
         calls = self.counting_kernel(monkeypatch)
         graph = random_connected_graph(n, random.Random(seed), edge_prob=0.15)
         report = dim_exact(shortest_path_metric(graph), 1)

@@ -212,7 +212,70 @@ class TestKernelClosure:
         # search: going on past it takes k=3 and k=4 to 114 and 156 nodes.
         space = make_space(parse_family("grid-ball:2,3"))
         _, reports = sequence_with_reports(space)
-        assert [r.nodes_explored for r in reports] == [52, 110, 71, 105, 57, 53, 58, 8]
+        assert [r.nodes_explored for r in reports] == [12, 97, 71, 105, 57, 53, 58, 8]
+
+
+class TestNeedOneLeaves:
+    """A node with two points to spare closes on the AND of its residual
+    masks: the one point a better cover adds lies in all of them."""
+
+    @given(metric_spaces(max_n=9))
+    @settings(max_examples=40)
+    def test_searched_covers_match_the_oracle(self, space):
+        # With the cap at 0 no cluster is solved exactly, so every level
+        # searches; the witness is whatever cover the search recorded.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "COMPONENT_SUPPORT_CAP", 0)
+            for k in range(1, min(2, max_k(space)) + 1):
+                oracle = dim_bruteforce(space, k)
+                for lex_min in (True, False):
+                    report = dim_exact(space, k, lex_min=lex_min)
+                    assert report.optimum == oracle
+                    assert len(report.basis) == oracle.value
+                    assert is_k_generator(space, report.basis, k).valid
+
+    def test_rand_60(self):
+        # Most of its nodes were need-1 leaves: 213,591 nodes before the rule.
+        space = shortest_path_metric(random_connected_graph(60, random.Random(1), edge_prob=0.08))
+        report = dim_exact(space, 1, budget_secs=None)
+        assert (report.optimum, report.basis.indices, report.nodes_explored) == (5, (3, 5, 7, 29, 42), 16397)
+
+
+def assert_witness_levels_agree(space):
+    """`lex_min=False` changes only the basis, its kind and the nodes: the
+    lex phase runs after the optimum is proved."""
+    seq, full = sequence_with_reports(space, budget_secs=None)
+    fast_seq, fast = sequence_with_reports(space, budget_secs=None, lex_min=False)
+    assert fast_seq == seq
+    for want, got in zip(full, fast, strict=True):
+        assert (got.k, got.optimum, got.status, got.bounds, got.lower_bound_trace, got.greedy_value) == (
+            want.k, want.optimum, want.status, want.bounds, want.lower_bound_trace, want.greedy_value)
+        assert got.nodes_explored <= want.nodes_explored
+        assert len(got.basis) == got.optimum.value
+        assert is_k_generator(space, got.basis, got.k).valid
+        if got.basis_kind == "lex_min":
+            # closed by the cluster kernel, which gives the lex-min cover
+            assert got.nodes_explored == 0
+            assert got.basis == want.basis
+        else:
+            assert got.basis_kind == "witness"
+
+
+class TestWitnessLevels:
+    @given(metric_spaces(max_n=9), st.sampled_from([0, solver.COMPONENT_SUPPORT_CAP]))
+    @settings(max_examples=40)
+    def test_only_the_basis_moves(self, space, cap):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "COMPONENT_SUPPORT_CAP", cap)
+            assert_witness_levels_agree(space)
+
+    @pytest.mark.parametrize("family", ["grid-ball:2,3", "ladder:8", "cycle:14", "petersen"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_only_the_basis_moves_on_relabeled_families(self, family, seed):
+        space = make_space(parse_family(family))
+        perm = list(range(space.n))
+        random.Random(seed).shuffle(perm)
+        assert_witness_levels_agree(permute_space(space, perm))
 
 
 def sparse_graph_space(n, seed):
