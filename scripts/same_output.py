@@ -34,10 +34,12 @@ RUNS = [
     ["sequence", "--family", "cycle:10", "--t", "2", "--format", "json"],
     ["sequence", "--family", "grid-ball:2,3", "--format", "json"],
     ["sequence", "--family", "ladder:10", "--format", "json"],
+    ["sequence", "--family", "grid-ball:2,4", "--format", "json"],
     ["sequence", "--family", "grid-ball:2,3", "--format", "json", *BOUNDED],
     ["sequence", "--family", "grid-ball:2,3", "--format", "csv", *BOUNDED],
     ["verify", "--suite", "monotonicity", "--random", "5", "--n", "7", "--format", "json"],
     ["verify", "--suite", "monotonicity", "--random", "20", "--n", "12", "--seed", "5", "--format", "json"],
+    ["verify", "--suite", "monotonicity", "--random", "60", "--n", "12", "--seed", "7", "--format", "json"],
     ["verify", "--suite", "truncation", "--random", "4", "--n", "7", "--s", "1/2", "--t", "3/2"],
     ["verify", "--suite", "truncation", "--random", "13", "--n", "14", "--seed", "3", "--format", "json",
      *BOUNDED],

@@ -16,8 +16,7 @@ Runs are reproducible: the same arguments produce byte-identical JSON/CSV
 output, so timing never appears in the payload.  An analyze run whose
 budget ran out while the lex-min basis was being chosen is not: it says so
 with `"basis_kind": "witness"` and a `note:` line on stderr.  Only analyze
-prints a basis, so only it has the lex-min one rebuilt; sequence and join
-solve with `lex_min=False`.
+prints a basis, so only it has the lex-min one rebuilt.
 """
 
 from __future__ import annotations
@@ -143,7 +142,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             payload["bounds"] = list(report.bounds)
             lines.append(f"bounds: [{report.bounds[0]}, {report.bounds[1]}]")
             exit_code = EXIT_BUDGET
-        if report.basis_kind == "witness":
+        elif report.basis_kind == "witness":
             payload["basis_kind"] = report.basis_kind
             print("note: the budget ran out while choosing the lexicographically smallest"
                   " basis; the basis shown is optimal but may not be the smallest",
@@ -169,7 +168,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_sequence(args: argparse.Namespace) -> int:
     space, source = _load_truncated(args)
     cap = max_k(space)
-    seq, reports = sequence_with_reports(space, args.k_max, budget_secs=args.budget_secs, lex_min=False)
+    seq, reports = sequence_with_reports(space, args.k_max, budget_secs=args.budget_secs)
     payload: dict = {
         "source": source,
         "n": space.n,

@@ -20,8 +20,8 @@ from .randgen import (
     random_rational_metric,
     random_space,
 )
-from .solver import SolveReport, dim_exact, sequence_with_reports
-from .spaces import FiniteMetricSpace, all_distinguishers, join, space_to_json_dict, truncate
+from .solver import DimensionSequence, SolveReport, dim_exact
+from .spaces import FiniteMetricSpace, all_distinguishers, join, max_k, space_to_json_dict, truncate
 
 DEFAULT_ST_PAIRS = ((Fraction(1), Fraction(2)), (Fraction(1), Fraction(4)), (Fraction(2), Fraction(4)))
 SUITE_K_VALUES = (1, 2)
@@ -88,21 +88,28 @@ def monotonicity_suite(count: int = 100, n: int = 8, seed: int = 0, *,
     """Dimension sequences respect the floor dim_k >= k and step by at least
     one (so dim_k >= dim_1 + k - 1).
 
-    `DimensionSequence` checks both as the sequence is built; the case
-    records its error message as the failure."""
+    Each level is solved alone, and a bounded solve fails the case at its
+    k.  `DimensionSequence` checks both laws as the sequence is built; the
+    case records its error message as the failure."""
     _check_sizes("monotonicity", count, n, 3)
     rng = random.Random(seed)
     failures: list[dict] = []
     for case in range(count):
         size = rng.randint(3, n)
         space = random_space(size, rng)
-        try:
-            seq, reports = sequence_with_reports(space, budget_secs=budget_secs, lex_min=False)
-        except ValueError as exc:
-            failures.append(_space_failure(space, str(exc), case=case))
-            continue
-        if seq is None:
-            failures.append(_space_failure(space, f"budget exhausted at k={reports[-1].k}", case=case))
+        solve = _case_solver(budget_secs)
+        entries = []
+        for k in range(1, max_k(space) + 1):
+            report = solve(space, k)
+            if report.status == "bounded":
+                failures.append(_space_failure(space, f"budget exhausted at k={k}", case=case))
+                break
+            entries.append(report.optimum)
+        else:
+            try:
+                DimensionSequence(tuple(entries), tail_start=None)
+            except ValueError as exc:
+                failures.append(_space_failure(space, str(exc), case=case))
     return SuiteResult("monotonicity", count, _sorted_failures(failures))
 
 

@@ -126,6 +126,16 @@ class TestAnalyze:
             assert data["basis"] == basis
         assert "basis_kind" not in data
 
+    def test_bounded_run_prints_no_basis_kind(self, capsys):
+        # The bounded report's basis is a witness, but analyze names the
+        # kind, with its note, only for an optimal report.
+        code = cli.main(["analyze", "--family", "grid-ball:2,5", "--k", "8", "--budget-secs", "1e-9",
+                         "--format", "json"])
+        captured = capsys.readouterr()
+        data = json.loads(captured.out)
+        assert (code, data["status"], data["bounds"], captured.err) == (3, "bounded", [16, 17], "")
+        assert "basis_kind" not in data
+
     def test_lex_timeout_reports_witness(self, capsys, monkeypatch):
         # grid-ball:2,5 has root bound 2 below its optimum 3, so the lex phase runs.
         monkeypatch.setattr(solver._Search, "lex_min", lambda self, target, witness: (witness, False))
@@ -230,7 +240,7 @@ class TestVerify:
     def test_monotonicity_reports_a_broken_step(self, capsys, monkeypatch):
         # A solver that repeats dim_1 at k=2 breaks the floor dim_k >= k,
         # which DimensionSequence rejects as the sequence is built.
-        real = solver.dim_exact
+        real = verify.dim_exact
 
         def flat(space, k, **kwargs):
             report = real(space, k, **kwargs)
@@ -238,13 +248,34 @@ class TestVerify:
                 report = dataclasses.replace(report, optimum=real(space, 1).optimum)
             return report
 
-        monkeypatch.setattr(solver, "dim_exact", flat)
+        monkeypatch.setattr(verify, "dim_exact", flat)
         code = cli.main(["verify", "--suite", "monotonicity", "--random", "2", "--n", "4",
                          "--format", "json"])
         captured = capsys.readouterr()
         assert (code, captured.err) == (4, "")
         data = json.loads(captured.out)
         assert [f["detail"] for f in data["failures"]] == ["dim_2=1 below the floor k=2"] * 2
+
+    def test_monotonicity_reports_a_kernel_fault(self, capsys, monkeypatch):
+        # A cluster kernel one short on clusters whose largest need is at
+        # least 2 and whose value is at least 2 * need + 1.  Levels are
+        # solved alone, so the broken step is a counterexample, not a
+        # clash with a bound fed in from the level before.
+        kernel = solver._exact_cluster_min
+
+        def short(members, support_mask):
+            value, cover = kernel(members, support_mask)
+            need = max(need for _, need in members)
+            return (value - 1, cover) if need >= 2 and value >= 2 * need + 1 else (value, cover)
+
+        monkeypatch.setattr(solver, "_exact_cluster_min", short)
+        code = cli.main(["verify", "--suite", "monotonicity", "--random", "40", "--n", "10",
+                         "--seed", "1", "--format", "json"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (4, "")
+        data = json.loads(captured.out)
+        assert [(f["case"], f["n"], f["detail"]) for f in data["failures"]] == [
+            (21, 6, "dim_2=4 not above dim_1=4")]
 
     @pytest.mark.parametrize("suite, smallest", [
         ("monotonicity", 3), ("truncation", 3), ("join", 2), ("join-trivial", 2), ("bipartite", 3),
@@ -301,6 +332,11 @@ class TestVerify:
         assert cli.main(["verify", "--suite", suite, *argv]) == 0
         assert seen["budget_secs"] == budget
 
+    def test_family_that_is_not_a_graph_rejected(self, capsys):
+        assert cli.main(["verify", "--suite", "bipartite", "--family", "interval:3"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: --family for verify must name a graph family\n")
+
     def test_family_graphs_skip_the_size_check(self, capsys):
         code, out = run(capsys, "verify", "--suite", "bipartite", "--family", "path:2", "--n", "1",
                         "--format", "json")
@@ -354,6 +390,16 @@ class TestJoin:
             low, high = row[key]
             assert low <= value <= high and low < high
         assert row["relation"] == "?"
+
+    def test_join_above_the_sum(self, capsys):
+        # At t = 1/2 the path part caps to a discrete space (dim 3 alone),
+        # and the join needs 4 points where its parts need 1 each.
+        code, out = run(capsys, "join", "--family", "path:4", "--family2", "interval:4", "--t", "1/2",
+                        "--k", "1", "--format", "json")
+        assert code == 0
+        [row] = json.loads(out)["table"]
+        assert (row["sum"], row["dim_a_trunc"], row["dim_b_trunc"], row["dim_join"], row["relation"]) == (
+            2, 3, 1, 4, "<")
 
     def test_identical_labels_error(self, segments, capsys):
         a, _ = segments
@@ -669,15 +715,14 @@ class TestWhoRebuildsTheLexMinBasis:
         return seen
 
     @pytest.mark.parametrize("module, name, call", [
-        (cli, "sequence_with_reports", lambda: cli.main(["sequence", "--family", "grid-ball:2,2"])),
-        (solver, "sequence_with_reports",
-         lambda: solver.dimension_sequence(make_space(parse_family("grid-ball:2,2")))),
+        (solver, "dim_exact", lambda: cli.main(["sequence", "--family", "grid-ball:2,2"])),
+        (solver, "dim_exact", lambda: solver.dimension_sequence(make_space(parse_family("grid-ball:2,2")))),
         (verify, "dim_exact", lambda: cli.main(["join", "--family", "interval:3", "--family2", "sqrt-primes:3",
                                                 "--t", "1", "--k-max", "2"])),
         (verify, "dim_exact", lambda: verify.truncation_suite(2, 6)),
         (verify, "dim_exact", lambda: verify.join_suite(2, 4)),
         (verify, "dim_exact", lambda: verify.join_trivial_suite(2, 4)),
-        (verify, "sequence_with_reports", lambda: verify.monotonicity_suite(2, 6)),
+        (verify, "dim_exact", lambda: verify.monotonicity_suite(2, 6)),
     ], ids=["sequence", "dimension_sequence", "join", "truncation", "join-suite", "join-trivial",
             "monotonicity"])
     def test_callers_that_drop_the_basis_skip_it(self, capsys, monkeypatch, module, name, call):

@@ -27,6 +27,17 @@ from kmetric.spaces import TwoPointSpaceWarning, all_distinguishers, is_k_genera
 from conftest import metric_spaces
 
 
+def lex_min_levels(space, **options):
+    """Reports for k = 1..max_k with lex-min bases: `dim_exact` with the
+    previous level as `prev_dim`, the solves of `sequence_with_reports`
+    with the lex-min rebuild that it skips."""
+    reports = []
+    for k in range(1, max_k(space) + 1):
+        prev = reports[-1].optimum.value if reports else None
+        reports.append(dim_exact(space, k, prev_dim=prev, **options))
+    return reports
+
+
 class TestExtendedNat:
     def test_ordering(self):
         assert ExtendedNat(3) < ExtendedNat(4) < INFINITY
@@ -165,6 +176,8 @@ class TestDimExact:
         low, high = report.bounds
         assert low <= 3 <= high
         assert is_k_generator(space, report.basis, 1).valid
+        # the incumbent is some cover, not a proven lex-min one
+        assert report.basis_kind == "witness"
 
 
 class TestDegreeBound:
@@ -211,7 +224,7 @@ class TestKernelClosure:
         # on the kernel's cover, and a closed cover of floor size ends the
         # search: going on past it takes k=3 and k=4 to 114 and 156 nodes.
         space = make_space(parse_family("grid-ball:2,3"))
-        _, reports = sequence_with_reports(space)
+        reports = lex_min_levels(space)
         assert [r.nodes_explored for r in reports] == [12, 97, 71, 105, 57, 53, 58, 8]
 
 
@@ -242,11 +255,12 @@ class TestNeedOneLeaves:
 
 
 def assert_witness_levels_agree(space):
-    """`lex_min=False` changes only the basis, its kind and the nodes: the
-    lex phase runs after the optimum is proved."""
-    seq, full = sequence_with_reports(space, budget_secs=None)
-    fast_seq, fast = sequence_with_reports(space, budget_secs=None, lex_min=False)
-    assert fast_seq == seq
+    """A sequence level, solved with `lex_min=False`, differs from its
+    lex-min solve only in the basis, its kind and the nodes: the lex phase
+    runs after the optimum is proved."""
+    full = lex_min_levels(space, budget_secs=None)
+    fast_seq, fast = sequence_with_reports(space, budget_secs=None)
+    assert fast_seq == DimensionSequence(tuple(r.optimum for r in full), tail_start=max_k(space) + 1)
     for want, got in zip(full, fast, strict=True):
         assert (got.k, got.optimum, got.status, got.bounds, got.lower_bound_trace, got.greedy_value) == (
             want.k, want.optimum, want.status, want.bounds, want.lower_bound_trace, want.greedy_value)
@@ -319,11 +333,12 @@ class TestBruteforce:
     def test_infeasible(self):
         assert dim_bruteforce(make_space(parse_family("complete:4")), 3) == INFINITY
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
         space = make_space(parse_family("cycle:18"))
         with pytest.raises(InstanceTooLarge):
             dim_bruteforce(space, 1)
-        assert dim_bruteforce(space, 1, cap=18) == 2
+        monkeypatch.setattr(solver, "BRUTEFORCE_CAP", 18)
+        assert dim_bruteforce(space, 1) == 2
 
 
 def tree_metric_dimension(n, parent):
@@ -369,14 +384,20 @@ class TestTreeOracle:
             lower, upper = report.bounds
             assert lower <= expected <= upper
 
-    def test_a_tree_that_needs_search(self):
-        # A tree that the root bounds do not close: 3,360 search nodes.
+    def test_a_tree_that_needs_search(self, monkeypatch):
+        # A tree that the root bounds do not close: 3,360 search nodes, whose
+        # clusters repeat, so the cluster memo leaves 24 exact solves (24,478
+        # without it).
         rng = random.Random(2661)
         parent = {i: rng.randrange(i) for i in range(1, 69)}
         labels = [f"v{i}" for i in range(69)]
         tree = build_graph(labels, [(labels[i], labels[j]) for i, j in parent.items()])
+        calls = []
+        kernel = solver._exact_cluster_min
+        monkeypatch.setattr(solver, "_exact_cluster_min", lambda *a: calls.append(a) or kernel(*a))
         report = dim_exact(shortest_path_metric(tree), 1)
-        assert report.status == "optimal" and report.nodes_explored > 0
+        assert report.status == "optimal"
+        assert (len(calls), report.nodes_explored) == (24, 3360)
         assert report.optimum == tree_metric_dimension(69, parent)
 
     @given(st.integers(min_value=2, max_value=12), st.integers(0, 2**20))
@@ -447,8 +468,8 @@ class TestDimensionSequence:
             seq.get(5)
 
     def test_bases_grid_ball(self):
-        seq, reports = sequence_with_reports(make_space(parse_family("grid-ball:2,3")))
-        assert seq.as_values() == (3, 4, 6, 8, 10, 12, 16, 18)
+        reports = lex_min_levels(make_space(parse_family("grid-ball:2,3")))
+        assert tuple(r.optimum.value for r in reports) == (3, 4, 6, 8, 10, 12, 16, 18)
         assert [r.basis.indices for r in reports] == [
             (0, 1, 24),
             (0, 9, 15, 24),
@@ -464,8 +485,8 @@ class TestDimensionSequence:
         space = make_space(parse_family("ladder:4"))
         perm = list(range(space.n))
         random.Random(4).shuffle(perm)
-        seq, reports = sequence_with_reports(permute_space(space, perm))
-        assert seq.as_values() == (2, 4, 6, 8, 10, 12, 14, 16, 18)
+        reports = lex_min_levels(permute_space(space, perm))
+        assert tuple(r.optimum.value for r in reports) == (2, 4, 6, 8, 10, 12, 14, 16, 18)
         assert [r.basis.indices for r in reports] == [
             (4, 8),
             (0, 1, 13, 15),

@@ -129,6 +129,11 @@ class TestBisectors:
         with pytest.raises(SamePoint):
             distinguishers(discrete(3), 2, 2)
 
+    def test_point_outside_the_space_rejected(self):
+        space = discrete(3)
+        with pytest.raises(IndexError, match=r"point index out of range for n=3: \(0, 3\)$"):
+            bisector(space, 0, space.n)
+
     def test_distinguishers_complete(self):
         space = discrete(5)
         assert distinguishers(space, 1, 3).indices == (1, 3)
@@ -222,6 +227,11 @@ class TestMaxK:
         assert max_k(discrete(5)) == 2
         assert max_k(discrete(7)) == 2
         assert max_k(make_space(parse_family("lollipop:5,4"))) == 4
+
+    @pytest.mark.parametrize("perm", [[0, 1, 1], [0, 1], [0, 1, 3]], ids=["repeat", "short", "outside"])
+    def test_relabeling_by_a_non_permutation_rejected(self, perm):
+        with pytest.raises(FormatError, match=r"^not a permutation of 0\.\.2: "):
+            permute_space(discrete(3), perm)
 
     @given(metric_spaces(), st.randoms(use_true_random=False))
     def test_relabeling_invariance(self, space, rnd):

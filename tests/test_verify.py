@@ -14,7 +14,7 @@ from kmetric.randgen import (
     random_connected_graph,
     random_rational_metric,
 )
-from kmetric import verify
+from kmetric import solver, verify
 from kmetric.solver import dim_exact
 from kmetric.spaces import all_distinguishers, bisector, join, permute_space, truncate
 from kmetric.verify import (
@@ -128,6 +128,22 @@ class TestBudgetExhaustion:
         assert {f["detail"] for f in result.failures} <= {
             "budget exhausted at k=1", "budget exhausted at k=2"}
         assert run_suite(suite, count=count, n=n, seed=3).passed
+
+
+class TestMonotonicityBudget:
+    def test_a_bounded_level_fails_its_case_and_ends_it(self, monkeypatch):
+        # At cap 0 no cluster is solved exactly, so a level the root bounds
+        # leave open searches, and a spent budget bounds it.
+        monkeypatch.setattr(solver, "COMPONENT_SUPPORT_CAP", 0)
+        levels = []
+        monkeypatch.setattr(verify, "dim_exact", lambda space, k, **options: (
+            levels.append(dim_exact(space, k, **options)) or levels[-1]))
+        result = run_suite("monotonicity", count=5, n=6, seed=0, budget_secs=-1.0)
+        assert [(f["case"], f["detail"]) for f in result.failures] == [
+            (3, "budget exhausted at k=2"), (0, "budget exhausted at k=4")]
+        # no level is solved past a bounded one: the next solve opens a case
+        assert all(after.k == 1 for before, after in zip(levels, levels[1:]) if before.status == "bounded")
+        assert run_suite("monotonicity", count=5, n=6, seed=0).passed
 
 
 def _solve_every_space(budget_secs):
