@@ -47,6 +47,8 @@ RUNS = [
     ["verify", "--suite", "join-trivial", "--random", "4", "--n", "5"],
     ["verify", "--suite", "bipartite", "--family", "grid-ball:2,3", "--format", "json"],
     ["verify", "--suite", "bipartite", "--random", "5", "--n", "8"],
+    ["verify", "--suite", "bipartite", "--random", "30", "--n", "10", "--seed", "4", "--format", "json"],
+    ["verify", "--suite", "truncation", "--random", "10", "--n", "9", "--seed", "2", "--format", "json"],
     ["join", "--family", "interval:3", "--family2", "sqrt-primes:3", "--t", "1", "--k-max", "2",
      "--format", "json"],
     ["join", "--family", "path:4", "--family2", "interval:4", "--t", "1/2", "--k", "1", "--format", "csv"],

@@ -10,7 +10,10 @@ Exit codes: 0 success, 2 input error, 3 budget exhausted with only bounds,
 
 Each subcommand declares only the options it reads, and each option has
 one setter: its flag, with its default in the parser.  The commands read
-the parsed namespace directly.
+the parsed namespace directly.  One default is not the parser's: `verify
+--budget-secs` parses to None when not given, so the bipartite suite,
+which solves nothing, can reject the flag, and `cmd_verify` gives the
+solving suites DEFAULT_BUDGET_SECS (60 s).
 
 Runs are reproducible: the same arguments produce byte-identical JSON/CSV
 output, so timing never appears in the payload.  An analyze run whose

@@ -433,14 +433,12 @@ def _grid_evidence(rank: int, radius: int, budget_secs) -> RadiusEvidence:
     g = make_grid_ball(rank, radius)
     space = shortest_path_metric(g)
     coords = {i: _parse_grid_coords(lab) for i, lab in enumerate(g.labels)}
-    # distortion check: in-ball BFS distance vs ambient lattice (l1) distance
+    # distortion check: in-ball BFS distance (stored at scale 1) vs ambient lattice (l1) distance
+    dist = space._int_dist
     distortions = 0
-    for u in range(space.n):
-        cu = coords[u]
-        for v in range(u + 1, space.n):
-            cv = coords[v]
-            if space.dist[u][v] != sum(abs(a - b) for a, b in zip(cu, cv)):
-                distortions += 1
+    for u, v in space.pairs():
+        if dist[u][v] != sum(abs(a - b) for a, b in zip(coords[u], coords[v])):
+            distortions += 1
     # witness chain: for diagonal anchors (m,...,m), the bisector of the two
     # points one step away along the first two axes contains the whole
     # quadrant beyond the anchor.

@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import Iterable
 
 from .errors import DisconnectedGraph, FormatError
-from .spaces import FiniteMetricSpace, TwoPointSpaceWarning, _from_scaled, bisector
+from .spaces import FiniteMetricSpace, TwoPointSpaceWarning, _from_scaled, all_distinguishers
 
 
 @dataclass(frozen=True)
@@ -178,7 +178,8 @@ def _odd_cycle(u: int, v: int, parent: list[int | None]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class OddDistanceReport:
-    """Per-pair audit of the empty-bisector rule for odd distances."""
+    """Per-pair audit of the empty-bisector rule for odd distances; in a
+    bipartite graph each of the `violations` is a counterexample."""
 
     bipartite: bool
     odd_pairs: int
@@ -187,27 +188,23 @@ class OddDistanceReport:
 
 
 def check_odd_distance_bisectors(g: Graph) -> OddDistanceReport:
-    """Check that pairs at odd distance have empty bisectors.
+    """List the pairs at odd distance whose bisector is not empty.
 
-    Guaranteed for graphs without odd cycles; for non-bipartite graphs the
-    report lists the odd-distance pairs whose bisector is non-empty.
+    The rule holds in graphs without odd cycles; the caller judges a
+    violation.  A bisector is empty when the pair's mask holds every point,
+    and a graph's stored distances are its BFS integers.
     """
     space = shortest_path_metric(g)
-    bip = is_bipartite(g).bipartite
+    dist, full = space._int_dist, (1 << space.n) - 1
     odd_pairs = 0
-    empty = 0
     violations = []
-    for u, v in space.pairs():
-        if space.dist[u][v] % 2 == 0:
-            continue
-        odd_pairs += 1
-        if len(bisector(space, u, v)) == 0:
-            empty += 1
-        else:
-            violations.append((g.labels[u], g.labels[v]))
-    if bip and violations:
-        raise AssertionError(f"odd-distance pairs with non-empty bisectors in a bipartite graph: {violations}")
-    return OddDistanceReport(bip, odd_pairs, empty, tuple(violations))
+    for (u, v), mask in zip(space.pairs(), all_distinguishers(space).masks):
+        if dist[u][v] % 2:
+            odd_pairs += 1
+            if mask != full:
+                violations.append((g.labels[u], g.labels[v]))
+    empty = odd_pairs - len(violations)
+    return OddDistanceReport(is_bipartite(g).bipartite, odd_pairs, empty, tuple(violations))
 
 
 # --- edge-list interchange ---------------------------------------------------

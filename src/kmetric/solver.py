@@ -196,7 +196,7 @@ def greedy_upper(space: FiniteMetricSpace, k: int) -> tuple[int, PointSet] | Non
     if k < 1:
         raise NonpositiveParameter("k", k)
     dmap = all_distinguishers(space)
-    if dmap.min_size() < k:
+    if dmap.min_size < k:
         return None
     columns = dmap.columns
     # layers[j] holds the pairs whose deficit is still above j, so a point's
@@ -590,7 +590,7 @@ def dim_exact(space: FiniteMetricSpace, k: int, *, budget_secs: float | None = D
         raise NonpositiveParameter("k", k)
     deadline = time.monotonic() + budget_secs if budget_secs is not None else None
     dmap = all_distinguishers(space)
-    feasible_cap = dmap.min_size()
+    feasible_cap = dmap.min_size
     if k > feasible_cap:
         return SolveReport(
             k=k, optimum=INFINITY, basis=None,

@@ -175,10 +175,8 @@ class FiniteMetricSpace:
         return Fraction(max(map(max, self._int_dist)), self.scale)
 
     def pairs(self) -> Iterator[tuple[int, int]]:
-        n = self.n
-        for u in range(n):
-            for v in range(u + 1, n):
-                yield u, v
+        """The pairs (u, v), u < v, in lexicographic order: the masks' order."""
+        return combinations(range(self.n), 2)
 
     @cached_property
     def _distinguishers(self) -> "DistinguisherMap":
@@ -198,9 +196,9 @@ def _from_scaled(labels, z, scale: int, meta=None) -> FiniteMetricSpace:
 class DistinguisherMap:
     """For each unordered pair (u,v), the points whose distances to u and v differ.
 
-    Pairs come in lexicographic order.  Each distinguisher set is a bitmask
-    over the points, computed from `rows`, the distance matrix in
-    common-denominator integers.  Both views, `masks` (one per pair) and
+    Pairs come in `FiniteMetricSpace.pairs()` order.  Each distinguisher set
+    is a bitmask over the points, computed from `rows`, the distance matrix
+    in common-denominator integers.  Both views, `masks` (one per pair) and
     `columns` (one per point), are read from one text of n-digit binary
     numerals built by the byte-field kernel `_distinguisher_text`.
     """
@@ -236,11 +234,8 @@ class DistinguisherMap:
         return tuple(kept)
 
     @cached_property
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(combinations(range(len(self.rows)), 2))
-
-    @cached_property
-    def _min_size(self) -> int:
+    def min_size(self) -> int:
+        """The size of the smallest distinguisher set."""
         return min(map(int.bit_count, self.masks))
 
     def mask(self, u: int, v: int) -> int:
@@ -249,13 +244,6 @@ class DistinguisherMap:
         if not 0 <= u < v < n:
             raise KeyError((u, v))
         return self.masks[u * (2 * n - u - 1) // 2 + v - u - 1]
-
-    def get(self, u: int, v: int) -> PointSet:
-        return PointSet.from_mask(self.mask(u, v))
-
-    def min_size(self) -> int:
-        """The size of the smallest distinguisher set."""
-        return self._min_size
 
     def __len__(self) -> int:
         n = len(self.rows)
@@ -460,7 +448,7 @@ def bisector(space: FiniteMetricSpace, u: int, v: int) -> PointSet:
 def distinguishers(space: FiniteMetricSpace, u: int, v: int) -> PointSet:
     """Complement of the bisector of (u,v).  Always contains u and v."""
     _check_pair(space, u, v)
-    return space._distinguishers.get(u, v)
+    return PointSet.from_mask(space._distinguishers.mask(u, v))
 
 
 def all_distinguishers(space: FiniteMetricSpace) -> DistinguisherMap:
@@ -476,10 +464,9 @@ def is_k_generator(space: FiniteMetricSpace, points: PointSet | Iterable[int], k
     mask = pset.to_mask()
     if mask >> space.n:
         raise IndexError(f"point index out of range for n={space.n}: {pset.indices[-1]}")
-    dmap = all_distinguishers(space)
     coverage: dict[tuple[int, int], int] = {}
     witness = None
-    for pair, pair_mask in zip(dmap.pairs, dmap.masks):
+    for pair, pair_mask in zip(space.pairs(), all_distinguishers(space).masks):
         count = (mask & pair_mask).bit_count()
         coverage[pair] = count
         if count < k and witness is None:
@@ -489,7 +476,7 @@ def is_k_generator(space: FiniteMetricSpace, points: PointSet | Iterable[int], k
 
 def max_k(space: FiniteMetricSpace) -> int:
     """Largest k admitting a k-metric generator: the smallest distinguisher set size."""
-    return all_distinguishers(space).min_size()
+    return all_distinguishers(space).min_size
 
 
 def truncate(space: FiniteMetricSpace, t) -> FiniteMetricSpace:

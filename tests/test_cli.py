@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from kmetric import cli, solver, verify
+from kmetric import cli, solver, spaces, verify
 from kmetric.families import make_space, parse_family
 from kmetric.solver import DEFAULT_BUDGET_SECS
 from kmetric.verify import SuiteResult
@@ -277,6 +277,33 @@ class TestVerify:
         assert [(f["case"], f["n"], f["detail"]) for f in data["failures"]] == [
             (21, 6, "dim_2=4 not above dim_1=4")]
 
+    def test_bipartite_reports_a_bisector_fault(self, capsys, monkeypatch):
+        # A distinguisher kernel in which point 0 separates only the pairs
+        # it belongs to.  In a bipartite graph point 0 separates every pair
+        # at odd distance, so each such pair without it gets point 0 in its
+        # bisector: a counterexample to print, not a traceback.
+        kernel = spaces._distinguisher_text
+
+        def blind(rows):
+            text = kernel(rows)
+            n = len(rows)
+            for p in range(n - 1, len(text) // n):  # the pairs after (0, n-1); point 0 is the last digit
+                text[p * n + n - 1] = ord("0")
+            return text
+
+        monkeypatch.setattr(spaces, "_distinguisher_text", blind)
+        code = cli.main(["verify", "--suite", "bipartite", "--random", "4", "--n", "6", "--seed", "2",
+                         "--format", "json"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (4, "")
+        data = json.loads(captured.out)
+        assert [(f["case"], f["n"], f["detail"]) for f in data["failures"]] == [
+            (1, 6, "non-empty bisectors at odd distance: (('g1', 'g3'), ('g1', 'g5'), ('g2', 'g3'),"
+                   " ('g2', 'g5'), ('g3', 'g4'), ('g4', 'g5'))"),
+            (2, 6, "non-empty bisectors at odd distance: (('g1', 'g4'), ('g1', 'g5'), ('g2', 'g4'),"
+                   " ('g2', 'g5'), ('g3', 'g4'), ('g3', 'g5'))"),
+        ]
+
     @pytest.mark.parametrize("suite, smallest", [
         ("monotonicity", 3), ("truncation", 3), ("join", 2), ("join-trivial", 2), ("bipartite", 3),
     ])
@@ -474,6 +501,19 @@ class TestErrors:
                         f'"distances": [[0, 1, 1], [1, 0, {entry}], [1, {entry}, 0]]}}')
         assert cli.main(["analyze", "--input", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: distance entry")
+
+    @pytest.mark.parametrize("entry", ["x", "1/0"])
+    def test_unparsable_string_in_space_json(self, capsys, tmp_path, entry):
+        path = tmp_path / "space.json"
+        path.write_text('{"labels": ["a", "b", "c"], '
+                        f'"distances": [["0", "1", "1"], ["1", "0", "{entry}"], ["1", "{entry}", "0"]]}}')
+        assert cli.main(["analyze", "--input", str(path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: cannot parse distance entry {entry!r}"]
+
+    def test_free_ball_rank_past_the_alphabet(self, capsys):
+        assert cli.main(["analyze", "--family", "free-ball:14,1"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err.splitlines()) == ("", ["error: free_ball rank capped at 13"])
 
     @pytest.mark.parametrize("fields", [
         '"labels": 5, "distances": [[0, 1], [1, 0]]',

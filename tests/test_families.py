@@ -9,7 +9,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from kmetric import cli, families
+from kmetric import cli, families, solver
 from kmetric.errors import BadFamilyParams, KMetricError
 from kmetric.families import (
     _CLI_ALIASES,
@@ -263,6 +263,15 @@ class TestDivergenceEvidence:
         monkeypatch.setattr(families, "dim_exact", spy)
         divergence_evidence("ladder", (2, 3), **given)
         assert seen == [{"budget_secs": passed, "lex_min": False}] * 2
+
+    def test_bounded_solve_raises(self, monkeypatch):
+        # Without the cluster kernel and with no time, grid_ball's first
+        # dim_1 stays bounded, while the ladder's still solve.
+        monkeypatch.setattr(solver, "COMPONENT_SUPPORT_CAP", 0)
+        with pytest.raises(KMetricError, match=r"^budget exhausted computing dim_1: bounds \(2, 3\)$"):
+            divergence_evidence("grid_ball", (2, 3), budget_secs=-1.0)
+        report = divergence_evidence("ladder", (2, 3), budget_secs=-1.0)
+        assert [entry.dim1 for entry in report.per_radius] == [2, 2]
 
     def test_bad_arguments(self):
         with pytest.raises(BadFamilyParams):

@@ -5,6 +5,7 @@ import hypothesis.strategies as st
 from kmetric.errors import DisconnectedGraph, FormatError
 from kmetric.families import make, parse_family
 from kmetric.graphs import (
+    Graph,
     build_graph,
     check_odd_distance_bisectors,
     format_edge_list,
@@ -139,6 +140,16 @@ class TestGraphValidation:
     def test_undeclared_endpoint(self):
         with pytest.raises(FormatError):
             build_graph(["a"], [("a", "b")])
+
+    @pytest.mark.parametrize("labels, edges, message", [
+        (("a", "a"), (), "duplicate vertex labels"),
+        (("a", "b"), ((0, 2),), "references undeclared vertex"),
+        (("a", "b"), ((1, 0),), "must be stored with u < v"),
+    ], ids=["duplicate-label", "undeclared", "reversed"])
+    def test_stored_form_checked(self, labels, edges, message):
+        # Graph itself checks what build_graph normalises away.
+        with pytest.raises(FormatError, match=message):
+            Graph(labels, edges)
 
 
 class TestEdgeListFormat:

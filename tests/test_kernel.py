@@ -444,10 +444,11 @@ class TestMasks:
     def test_masks_match_the_definition(self, space):
         dmap = all_distinguishers(space)
         assert dmap.masks == reference_masks(space)
-        assert dmap.pairs == tuple(combinations(range(space.n), 2))
-        assert len(dmap) == len(dmap.pairs)
-        for p, (u, v) in enumerate(dmap.pairs):
-            assert dmap.get(v, u) == PointSet.from_mask(dmap.masks[p])
+        pairs = tuple(space.pairs())
+        assert pairs == tuple(combinations(range(space.n), 2))
+        assert len(dmap) == len(pairs)
+        for p, (u, v) in enumerate(pairs):
+            assert dmap.mask(v, u) == dmap.masks[p]
             assert distinguishers(space, u, v) == PointSet.from_mask(dmap.masks[p])
             du, dv = space.dist[u], space.dist[v]
             assert bisector(space, u, v).indices == tuple(x for x in range(space.n) if du[x] == dv[x])
@@ -501,12 +502,13 @@ class TestMasks:
         assert len(set().union(*rows)) > 1 << 16
         dmap = DistinguisherMap(rows)
         odd = sum(1 << x for x in range(1, n, 2))
-        twins = {dmap.pairs.index((0, 1)), dmap.pairs.index((2, 3))}
+        pairs = tuple(combinations(range(n), 2))
+        twins = {pairs.index((0, 1)), pairs.index((2, 3))}
         assert dmap.masks == tuple(odd if p in twins else (1 << n) - 1 for p in range(len(dmap)))
         every_pair = (1 << len(dmap)) - 1
         twin_bits = sum(1 << p for p in twins)
         assert dmap.columns == tuple(every_pair ^ (0 if x % 2 else twin_bits) for x in range(n))
-        assert dmap.min_size() == len(range(1, n, 2))
+        assert dmap.min_size == len(range(1, n, 2))
 
     @pytest.mark.parametrize("rows, mask", [
         (((0, 5), (5, 0)), 0b11),
@@ -522,7 +524,7 @@ class TestMasks:
         dmap = all_distinguishers(random_rational_metric(4, random.Random(1)))
         for u, v in ((1, 1), (-1, 2), (0, 4)):
             with pytest.raises(KeyError):
-                dmap.get(u, v)
+                dmap.mask(u, v)
 
 
 class TestGreedy:

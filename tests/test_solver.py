@@ -8,7 +8,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from kmetric import solver
-from kmetric.errors import InstanceTooLarge, KMetricError
+from kmetric.errors import InstanceTooLarge, KMetricError, NonpositiveParameter
 from kmetric.families import expected_sequence, make_space, parse_family
 from kmetric.graphs import build_graph, shortest_path_metric
 from kmetric.randgen import random_connected_graph
@@ -466,6 +466,8 @@ class TestDimensionSequence:
         assert seq.get(8) == INFINITY
         with pytest.raises(KMetricError):
             seq.get(5)
+        with pytest.raises(NonpositiveParameter):
+            seq.get(0)
 
     def test_bases_grid_ball(self):
         reports = lex_min_levels(make_space(parse_family("grid-ball:2,3")))
@@ -517,6 +519,8 @@ class TestDimensionSequence:
             DimensionSequence((ExtendedNat(0),), tail_start=2)
         with pytest.raises(ValueError):
             DimensionSequence((ExtendedNat(1), ExtendedNat(2)), tail_start=2)
+        with pytest.raises(ValueError, match="must be finite"):
+            DimensionSequence((INFINITY,), None)
 
     def test_budget_exhaustion_raises(self, monkeypatch):
         monkeypatch.setattr(solver, "COMPONENT_SUPPORT_CAP", 0)

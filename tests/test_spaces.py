@@ -168,21 +168,21 @@ class TestDistinguisherMap:
         space = make_space(parse_family("petersen"))
         dmap = all_distinguishers(space)
         assert len(dmap) == 45
-        assert dmap.min_size() == 6
+        assert dmap.min_size == 6
 
     def test_complete_every_set_is_the_pair(self):
         space = discrete(4)
         dmap = all_distinguishers(space)
         assert len(dmap) == 6
-        for u, v in dmap.pairs:
-            assert dmap.get(u, v).indices == (u, v)
+        for u, v in space.pairs():
+            assert distinguishers(space, u, v).indices == (u, v)
 
     def test_path3_sets(self):
         space = make_space(parse_family("path:3"))
         dmap = all_distinguishers(space)
-        assert dmap.get(0, 1).indices == (0, 1, 2)
-        assert dmap.get(1, 2).indices == (0, 1, 2)
-        assert dmap.get(0, 2).indices == (0, 2)
+        assert PointSet.from_mask(dmap.mask(0, 1)).indices == (0, 1, 2)
+        assert PointSet.from_mask(dmap.mask(1, 2)).indices == (0, 1, 2)
+        assert PointSet.from_mask(dmap.mask(0, 2)).indices == (0, 2)
 
 
 class TestKGenerator:
@@ -211,6 +211,10 @@ class TestKGenerator:
     def test_k_must_be_positive(self):
         with pytest.raises(NonpositiveParameter):
             is_k_generator(discrete(3), [0], 0)
+
+    def test_negative_point_rejected(self):
+        with pytest.raises(FormatError, match="negative point index"):
+            is_k_generator(discrete(3), [-1], 1)
 
     @pytest.mark.parametrize("points", [[0, 1, 2, 4, 5, 6, 7, 8, 9, 50], PointSet.of([3, 10])])
     def test_points_outside_the_space_rejected(self, points):
