@@ -49,6 +49,10 @@ RUNS = [
     ["verify", "--suite", "bipartite", "--random", "5", "--n", "8"],
     ["verify", "--suite", "bipartite", "--random", "30", "--n", "10", "--seed", "4", "--format", "json"],
     ["verify", "--suite", "truncation", "--random", "10", "--n", "9", "--seed", "2", "--format", "json"],
+    ["verify", "--suite", "join-trivial", "--random", "20", "--n", "6", "--seed", "3", "--format", "json"],
+    ["verify", "--suite", "join", "--random", "15", "--n", "12", "--seed", "2", "--format", "json", *BOUNDED],
+    ["verify", "--suite", "join-trivial", "--random", "10", "--n", "20", "--seed", "2", "--format", "json",
+     *BOUNDED],
     ["join", "--family", "interval:3", "--family2", "sqrt-primes:3", "--t", "1", "--k-max", "2",
      "--format", "json"],
     ["join", "--family", "path:4", "--family2", "interval:4", "--t", "1/2", "--k", "1", "--format", "csv"],

@@ -52,6 +52,7 @@ from .spaces import (
     join,
     load_space,
     max_k,
+    parse_fraction,
     space_to_json_dict,
     truncate,
 )
@@ -64,20 +65,21 @@ EXIT_BUDGET = 3
 EXIT_VIOLATION = 4
 
 def _fraction(text: str) -> Fraction:
-    """argparse type for rational flags: 1/0, like any bad value, is a usage error."""
+    """argparse type for rational flags: 1/0, like any bad value, is a usage
+    error.  An exponent `parse_fraction` refuses is an input error."""
     try:
-        return Fraction(text)
+        return parse_fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
 
 
-def _check_printable(flag: str, value: Fraction | None) -> None:
+def _check_printable(name: str, value: Fraction | None) -> None:
     """Reject a value whose later str() would fail for its length."""
     if value is not None:
         try:
             str(value)
         except ValueError:
-            raise KMetricError(f"{flag} {format_distance(value)} has too many digits to print") from None
+            raise KMetricError(f"{name} {format_distance(value)} has too many digits to print") from None
 
 
 def _load_source(family: str | None, input_path: str | None,
@@ -276,6 +278,8 @@ def _csv_cell(value) -> str:
 def cmd_join(args: argparse.Namespace) -> int:
     space_a, source_a = _load_source(args.family, args.input)
     space_b, source_b = _load_source(args.family2, args.input2, "--family2/--input2")
+    # the joined space is printed, and its parts are capped at 2t
+    _check_printable("--t's cap 2t", 2 * args.t)
     joined = join(space_a, space_b, args.t)
     ks = [args.k] if args.k is not None else list(range(1, args.k_max + 1))
     rows = join_dimensions(space_a, space_b, joined, args.t, ks, budget_secs=args.budget_secs)
@@ -390,7 +394,6 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     show_other = warnings.showwarning
     warned = []
 
@@ -406,6 +409,7 @@ def main(argv: list[str] | None = None) -> int:
     with warnings.catch_warnings():
         warnings.showwarning = show_warning
         try:
+            args = build_parser().parse_args(argv)
             # None is verify's unset flag; `> 0` also rejects NaN, which would never expire.
             if args.budget_secs is not None and not args.budget_secs > 0:
                 raise KMetricError(f"--budget-secs must be > 0 (inf for no limit), got {args.budget_secs}")

@@ -79,9 +79,10 @@ class ExtendedNat:
 
     def __init__(self, value: int | None):
         if value is not None:
-            if value < 0:
-                raise ValueError(f"ExtendedNat must be non-negative, got {value}")
-            value = int(value)
+            integer = int(value)
+            if integer < 0 or integer != value:
+                raise ValueError(f"ExtendedNat must be a non-negative integer, got {value}")
+            value = integer
         object.__setattr__(self, "value", value)
 
     def __setattr__(self, name, _value):
@@ -109,7 +110,8 @@ class ExtendedNat:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._cmp_key())
+        # a finite value hashes as the int it equals
+        return hash(self.value)
 
     def __add__(self, other: "ExtendedNat | int") -> "ExtendedNat":
         other = ExtendedNat.of(other)

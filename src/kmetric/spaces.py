@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import sys
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -68,6 +70,20 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
+def parse_fraction(text: str) -> Fraction:
+    """`Fraction(text)`, with a decimal exponent beyond the interpreter's
+    integer digit limit refused first: `Fraction` builds 10**exponent, in
+    time and memory that grow with the exponent."""
+    exponent = _EXPONENT.search(text)
+    limit = sys.get_int_max_str_digits()  # 0 means no limit
+    if exponent and limit and abs(int(exponent[1])) > limit:
+        raise FormatError(f"{text!r} has a decimal exponent beyond the interpreter's {limit}-digit limit")
+    return Fraction(text)
+
+
 def as_rational(value) -> tuple[Fraction, bool]:
     """Coerce a distance entry to an exact Fraction.
 
@@ -91,7 +107,7 @@ def as_rational(value) -> tuple[Fraction, bool]:
         return Fraction(round(scaled), scale), True
     if isinstance(value, str):
         try:
-            return Fraction(value), False
+            return parse_fraction(value), False
         except (ValueError, ZeroDivisionError) as exc:
             raise FormatError(f"cannot parse distance entry {value!r}") from exc
     raise FormatError(f"distance entry {value!r} is not a number")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .errors import KMetricError
+from .errors import KMetricError, format_distance
 from .graphs import Graph, check_odd_distance_bisectors, format_edge_list, is_bipartite
 from .randgen import (
     random_bipartite_connected_graph,
@@ -60,10 +60,17 @@ def _check_sizes(suite: str, count: int, n: int, smallest: int) -> None:
         raise KMetricError(f"the {suite} suite draws instances of {smallest} or more points, got n={n}")
 
 
-def _space_failure(space: FiniteMetricSpace, detail: str, **extra) -> dict:
-    out = {"n": space.n, "detail": detail, "space": space_to_json_dict(space)}
-    out.update(extra)
-    return out
+def _run_cases(suite: str, count: int, n: int, smallest: int, seed: int,
+               check: Callable[[random.Random], Iterable[tuple[FiniteMetricSpace, str]]]) -> SuiteResult:
+    """Run `count` cases of a solving suite.  Each case draws its instance
+    from one generator seeded with `seed`, before the next case draws, and
+    `check` yields (space, detail) per failure; each is recorded with the
+    space and the case number."""
+    _check_sizes(suite, count, n, smallest)
+    rng = random.Random(seed)
+    failures = [{"n": space.n, "detail": detail, "space": space_to_json_dict(space), "case": case}
+                for case in range(count) for space, detail in check(rng)]
+    return SuiteResult(suite, count, _sorted_failures(failures))
 
 
 def _case_solver(budget_secs: float | None) -> Callable[[FiniteMetricSpace, int], SolveReport]:
@@ -91,26 +98,22 @@ def monotonicity_suite(count: int = 100, n: int = 8, seed: int = 0, *,
     Each level is solved alone, and a bounded solve fails the case at its
     k.  `DimensionSequence` checks both laws as the sequence is built; the
     case records its error message as the failure."""
-    _check_sizes("monotonicity", count, n, 3)
-    rng = random.Random(seed)
-    failures: list[dict] = []
-    for case in range(count):
-        size = rng.randint(3, n)
-        space = random_space(size, rng)
+    def check(rng: random.Random):
+        space = random_space(rng.randint(3, n), rng)
         solve = _case_solver(budget_secs)
         entries = []
         for k in range(1, max_k(space) + 1):
             report = solve(space, k)
             if report.status == "bounded":
-                failures.append(_space_failure(space, f"budget exhausted at k={k}", case=case))
-                break
+                yield space, f"budget exhausted at k={k}"
+                return
             entries.append(report.optimum)
-        else:
-            try:
-                DimensionSequence(tuple(entries), tail_start=None)
-            except ValueError as exc:
-                failures.append(_space_failure(space, str(exc), case=case))
-    return SuiteResult("monotonicity", count, _sorted_failures(failures))
+        try:
+            DimensionSequence(tuple(entries), tail_start=None)
+        except ValueError as exc:
+            yield space, str(exc)
+
+    return _run_cases("monotonicity", count, n, 3, seed, check)
 
 
 def truncation_suite(count: int = 50, n: int = 8, seed: int = 0, *,
@@ -125,13 +128,15 @@ def truncation_suite(count: int = 50, n: int = 8, seed: int = 0, *,
     masks are computed once, however many (s, t) pairs share it; dim_k is
     solved once per distinct masks, so a cap at or above the diameter, or
     two caps that leave the same masks, cost no second solve.  A solve that
-    runs out of budget fails the case at its k."""
-    _check_sizes("truncation", count, n, 3)
-    rng = random.Random(seed)
-    failures: list[dict] = []
-    for case in range(count):
-        size = rng.randint(3, n)
-        space = random_rational_metric(size, rng)
+    runs out of budget fails the case at its k.  A pair that is not
+    0 < s < t is rejected before any case runs."""
+    for s, t in st_pairs:
+        if not 0 < s < t:
+            raise KMetricError(f"the truncation suite needs 0 < s < t, got s={format_distance(s)},"
+                               f" t={format_distance(t)}")
+
+    def check(rng: random.Random):
+        space = random_rational_metric(rng.randint(3, n), rng)
         spaces = {None: space}  # cap -> truncated space; None is the plain one
         for cap in dict.fromkeys(cap for pair in st_pairs for cap in pair):
             spaces[cap] = truncate(space, cap)
@@ -140,22 +145,19 @@ def truncation_suite(count: int = 50, n: int = 8, seed: int = 0, *,
         reports = {(cap, k): solve(capped, k) for cap, capped in spaces.items() for k in SUITE_K_VALUES}
         exhausted = [k for k in SUITE_K_VALUES if bounded(reports[cap, k] for cap in spaces)]
         for k in exhausted:
-            failures.append(_space_failure(space, f"budget exhausted at k={k}", case=case))
+            yield space, f"budget exhausted at k={k}"
         for s, t in st_pairs:
             for (u, v), m_plain, m_t, m_s in zip(space.pairs(), masks[None], masks[t], masks[s]):
                 if m_t & ~m_plain or m_s & ~m_t:
-                    failures.append(_space_failure(
-                        space, f"bisector nesting fails for pair ({u},{v}) at s={s}, t={t}", case=case))
+                    yield space, f"bisector nesting fails for pair ({u},{v}) at s={s}, t={t}"
             for k in SUITE_K_VALUES:
                 if k in exhausted:
                     continue
                 d_plain, d_t, d_s = (reports[cap, k].optimum for cap in (None, t, s))
                 if not (d_s >= d_t >= d_plain):
-                    failures.append(_space_failure(
-                        space,
-                        f"dim chain fails at k={k}, s={s}, t={t}: {d_s} >= {d_t} >= {d_plain}",
-                        case=case))
-    return SuiteResult("truncation", count, _sorted_failures(failures))
+                    yield space, f"dim chain fails at k={k}, s={s}, t={t}: {d_s} >= {d_t} >= {d_plain}"
+
+    return _run_cases("truncation", count, n, 3, seed, check)
 
 
 def _random_join_parts(rng: random.Random, n: int):
@@ -193,50 +195,42 @@ def join_suite(count: int = 50, n: int = 5, seed: int = 0, *,
     dimensions bounds the joined dimension from below, through the
     truncated dimensions.  A solve that runs out of budget fails the case
     at its k."""
-    _check_sizes("join", count, n, 2)
-    rng = random.Random(seed)
-    failures: list[dict] = []
-    for case in range(count):
+    def check(rng: random.Random):
         a, b = _random_join_parts(rng, n)
         t = Fraction(rng.randint(1, 10), rng.randint(1, 2))
         joined = join(a, b, t)
         rows = join_dimensions(a, b, joined, t, SUITE_K_VALUES, budget_secs=budget_secs)
         for k, reports in zip(SUITE_K_VALUES, rows):
             if bounded(reports):
-                failures.append(_space_failure(joined, f"budget exhausted at k={k}", case=case))
+                yield joined, f"budget exhausted at k={k}"
                 continue
             da, db, dat, dbt, dj = (report.optimum for report in reports)
             if not (da + db <= dat + dbt and dat + dbt <= dj):
-                failures.append(_space_failure(
-                    joined,
-                    f"join chain fails at k={k}, t={t}: {da}+{db} <= {dat}+{dbt} <= {dj}",
-                    case=case))
-    return SuiteResult("join", count, _sorted_failures(failures))
+                yield joined, f"join chain fails at k={k}, t={t}: {da}+{db} <= {dat}+{dbt} <= {dj}"
+
+    return _run_cases("join", count, n, 2, seed, check)
 
 
 def join_trivial_suite(count: int = 20, n: int = 5, seed: int = 0, *,
                        budget_secs: float | None = None) -> SuiteResult:
     """With the cross distance beyond both diameters, dimensions add exactly.
-    Parts with equal distinguisher masks share one solve per k.  A solve
-    that runs out of budget fails the case at its k."""
-    _check_sizes("join-trivial", count, n, 2)
-    rng = random.Random(seed)
-    failures: list[dict] = []
-    for case in range(count):
+    The reports come from `join_dimensions`; each part is its own
+    truncation, so those cost no second solve.  A solve that runs out of
+    budget fails the case at its k."""
+    def check(rng: random.Random):
         a, b = _random_join_parts(rng, n)
         t = max(a.diameter(), b.diameter()) + 1
         joined = join(a, b, t)
-        solve = _case_solver(budget_secs)
-        for k in SUITE_K_VALUES:
-            reports = [solve(space, k) for space in (a, b, joined)]
+        rows = join_dimensions(a, b, joined, t, SUITE_K_VALUES, budget_secs=budget_secs)
+        for k, reports in zip(SUITE_K_VALUES, rows):
             if bounded(reports):
-                failures.append(_space_failure(joined, f"budget exhausted at k={k}", case=case))
+                yield joined, f"budget exhausted at k={k}"
                 continue
-            da, db, dj = (report.optimum for report in reports)
+            da, db, _, _, dj = (report.optimum for report in reports)
             if dj != da + db:
-                failures.append(_space_failure(
-                    joined, f"expected dim_{k} {da}+{db}, got {dj} (t={t})", case=case))
-    return SuiteResult("join-trivial", count, _sorted_failures(failures))
+                yield joined, f"expected dim_{k} {da}+{db}, got {dj} (t={t})"
+
+    return _run_cases("join-trivial", count, n, 2, seed, check)
 
 
 def bipartite_suite(count: int = 20, n: int = 10, seed: int = 0, *,

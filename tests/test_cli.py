@@ -418,6 +418,22 @@ class TestJoin:
             assert low <= value <= high and low < high
         assert row["relation"] == "?"
 
+    def test_join_below_the_sum(self, capsys, monkeypatch):
+        # A planted fault: the joined space (8 points) solves one below its
+        # dimension, so the sum of the parts exceeds it.
+        def smaller_join(space, k, **options):
+            report = solver.dim_exact(space, k, **options)
+            if space.n == 8:
+                return dataclasses.replace(report, optimum=solver.ExtendedNat(report.optimum.value - 1))
+            return report
+
+        monkeypatch.setattr(verify, "dim_exact", smaller_join)
+        code, out = run(capsys, "join", "--family", "grid-ball:2,1", "--family2", "path:3",
+                        "--t", "5", "--k-max", "2", "--format", "json")
+        assert code == 0
+        assert [(row["sum"], row["dim_join"], row["relation"]) for row in json.loads(out)["table"]] == [
+            (4, 3, ">"), (6, 5, ">")]
+
     def test_join_above_the_sum(self, capsys):
         # At t = 1/2 the path part caps to a discrete space (dim 3 alone),
         # and the join needs 4 points where its parts need 1 each.
@@ -547,35 +563,67 @@ class TestErrors:
         assert "Is a directory" in capsys.readouterr().err
 
     def test_distance_too_long_to_print(self, capsys, tmp_path):
-        # d(a,c) = 10**20000 breaks the triangle inequality; its numerator
+        # d(a,c) = 10**4300 breaks the triangle inequality; its numerator
         # has more digits than the interpreter converts to str.
         path = tmp_path / "space.json"
         path.write_text('{"labels": ["a", "b", "c"], "distances": '
-                        '[[0, 1, "1e20000"], [1, 0, 1], ["1e20000", 1, 0]]}')
+                        '[[0, 1, "1e4300"], [1, 0, 1], ["1e4300", 1, 0]]}')
         assert cli.main(["analyze", "--input", str(path)]) == 2
         assert capsys.readouterr().err.splitlines() == [
-            "error: d[0][2]=<fraction with 20001-digit numerator> > d[0][1]+d[1][2]=2"]
+            "error: d[0][2]=<fraction with 4301-digit numerator> > d[0][1]+d[1][2]=2"]
+
+    def test_runaway_exponent_in_space_json(self, capsys, tmp_path):
+        path = tmp_path / "space.json"
+        path.write_text('{"labels": ["a", "b", "c"], "distances": '
+                        '[["0", "1", "1e3000000"], ["1", "0", "1e3000000"], ["1e3000000", "1e3000000", "0"]]}')
+        assert cli.main(["analyze", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err.splitlines()) == (
+            "", ["error: '1e3000000' has a decimal exponent beyond the interpreter's 4300-digit limit"])
+
+    @pytest.mark.parametrize("argv, value", [
+        (["analyze", "--family", "petersen", "--t", "1e3000000"], "1e3000000"),
+        (["join", "--family", "path:3", "--family2", "interval:3", "--t", "1e3000000"], "1e3000000"),
+        (["verify", "--suite", "truncation", "--s", "1e-3000000", "--t", "1"], "1e-3000000"),
+    ], ids=["analyze", "join", "verify-s"])
+    def test_runaway_exponent_in_a_flag(self, capsys, argv, value):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err.splitlines()) == (
+            "", [f"error: {value!r} has a decimal exponent beyond the interpreter's 4300-digit limit"])
 
     @pytest.mark.parametrize("argv", [
-        ["analyze", "--family", "path:6", "--t", "1e20001", "--k", "1"],
-        ["sequence", "--family", "path:4", "--t", "1e20001"],
-        ["join", "--family", "path:3", "--family2", "sqrt-primes:3", "--t", "1e20001", "--k", "1"],
-        ["verify", "--suite", "truncation", "--s", "1", "--t", "1e20001"],
+        ["analyze", "--family", "path:6", "--t", "1e4300", "--k", "1"],
+        ["sequence", "--family", "path:4", "--t", "1e4300"],
+        ["join", "--family", "path:3", "--family2", "sqrt-primes:3", "--t", "1e4300", "--k", "1"],
+        ["verify", "--suite", "truncation", "--s", "1", "--t", "1e4300"],
     ], ids=["analyze", "sequence", "join", "verify"])
     def test_parameter_too_long_to_print(self, capsys, argv):
-        # 10**20001 parses, but has more digits than the interpreter
+        # 10**4300 parses, but has more digits than the interpreter
         # converts to str for the "source" and "t" fields.
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [
-            "error: --t <fraction with 20002-digit numerator> has too many digits to print"]
+            "error: --t <fraction with 4301-digit numerator> has too many digits to print"]
 
     def test_s_too_long_to_print(self, capsys):
-        assert cli.main(["verify", "--suite", "truncation", "--s", "1e-20001", "--t", "1"]) == 2
+        assert cli.main(["verify", "--suite", "truncation", "--s", "1e-4300", "--t", "1"]) == 2
         assert capsys.readouterr().err.splitlines() == [
-            "error: --s <fraction with 1-digit numerator and 20002-digit denominator>"
+            "error: --s <fraction with 1-digit numerator and 4301-digit denominator>"
             " has too many digits to print"]
+
+    @pytest.mark.parametrize("fmt", ["json", "plain"])
+    def test_join_cap_too_long_to_print(self, capsys, fmt):
+        # t has 4,300 digits above and below, so it prints; the cap 2t of the
+        # joined space has a 4,301-digit numerator, so it does not.
+        t = f"{5 * 10**4299 + 1}/{10**4300 - 3}"
+        argv = ["join", "--family", "path:3", "--family2", "interval:3", "--t", t, "--format", fmt]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err.splitlines()) == ("", [
+            "error: --t's cap 2t <fraction with 4301-digit numerator and 4300-digit denominator>"
+            " has too many digits to print"])
 
     @pytest.mark.parametrize("argv, flag", [
         (["analyze", "--family", "path:6", "--k", "1", "--t", "1/0"], "--t"),

@@ -391,7 +391,9 @@ class TestValidation:
             z = [[z[min(r, c)][max(r, c)] for c in range(n)] for r in range(n)]
         assert _triangle_scan(z) == reference_triangle(z)
 
-    @pytest.mark.parametrize("huge, digits", [("1e20000", 20001), ("1e60000", 60001)])
+    # ints: a decimal string with an exponent this large is refused before it is parsed
+    @pytest.mark.parametrize("huge, digits", [(10**20000, 20001), (10**60000, 60001)],
+                             ids=["1e20000-20001", "1e60000-60001"])
     def test_one_huge_entry_is_rejected_without_wide_fields(self, huge, digits):
         # Fields as wide as the huge entry would take n*n times its bytes
         # (hundreds of MB at 1e60000); the plain scan takes none.
@@ -734,3 +736,21 @@ class TestAsRational:
     def test_finite_floats_keep_their_quantization(self, value):
         scale = 10**12
         assert as_rational(value) == (Fraction(round(value * scale), scale), True)
+
+    @pytest.mark.parametrize("text, value", [("1.5", Fraction(3, 2)), ("3/2", Fraction(3, 2)),
+                                             ("1e-3", Fraction(1, 1000)), ("2.5E2", Fraction(250)),
+                                             ("1e4300", Fraction(10**4300))])
+    def test_decimal_strings_load(self, text, value):
+        assert as_rational(text) == (value, False)
+
+    @pytest.mark.parametrize("text", ["1e4301", "1E-4301", "1e3000000", " 2.5e+3_000_000 "])
+    def test_runaway_exponent_refused_before_the_power_is_built(self, text):
+        # 10**3000000 alone takes 1.2 MB; the exponent is refused first.
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="decimal exponent beyond the interpreter's 4300-digit limit"):
+                as_rational(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20

@@ -2,6 +2,7 @@ import itertools
 import random
 import time
 import warnings
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -61,15 +62,32 @@ class TestExtendedNat:
         with pytest.raises(ValueError):
             ExtendedNat(-1)
 
+    @pytest.mark.parametrize("value", [2.5, Fraction(1, 3), float("nan")], ids=["float", "fraction", "nan"])
+    def test_non_integer_rejected(self, value):
+        with pytest.raises(ValueError):
+            ExtendedNat(value)
+
     @given(st.integers(min_value=0, max_value=1000), st.integers(min_value=0, max_value=1000))
     def test_agrees_with_int_order(self, a, b):
         assert (ExtendedNat(a) < ExtendedNat(b)) == (a < b)
         assert (ExtendedNat(a) == ExtendedNat(b)) == (a == b)
 
+    @given(st.integers(min_value=0, max_value=10**30))
+    def test_hashes_as_the_int_it_equals(self, a):
+        assert hash(ExtendedNat(a)) == hash(a)
+        assert a in {ExtendedNat(a)} and ExtendedNat(a) in {a}
+        assert {a: "x"}[ExtendedNat(a)] == "x"
+        assert INFINITY in {INFINITY} and INFINITY not in {a}
+
 
 class TestGreedyUpper:
     def test_complete_k1(self):
         assert greedy_upper(make_space(parse_family("complete:4")), 1)[0] == 3
+
+    @pytest.mark.parametrize("solve", [greedy_upper, dim_bruteforce, dim_exact])
+    def test_k_below_1_rejected(self, solve):
+        with pytest.raises(NonpositiveParameter, match="k=0 must be positive"):
+            solve(make_space(parse_family("complete:4")), 0)
 
     def test_infeasible(self):
         assert greedy_upper(make_space(parse_family("complete:4")), 3) is None

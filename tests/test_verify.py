@@ -8,14 +8,14 @@ import hypothesis.strategies as st
 
 from kmetric.errors import KMetricError
 from kmetric.families import make, parse_family
-from kmetric.graphs import is_bipartite
+from kmetric.graphs import format_edge_list, is_bipartite
 from kmetric.randgen import (
     random_bipartite_connected_graph,
     random_connected_graph,
     random_rational_metric,
 )
 from kmetric import solver, verify
-from kmetric.solver import dim_exact
+from kmetric.solver import ExtendedNat, dim_exact
 from kmetric.spaces import all_distinguishers, bisector, join, permute_space, truncate
 from kmetric.verify import (
     SuiteResult,
@@ -88,9 +88,35 @@ class TestSuites:
                     expected.append((case, f"bisector nesting fails for pair ({u},{v}) at s=1, t=2"))
         assert expected and reported == sorted(expected)
 
+    @pytest.mark.parametrize("pair", [(2, 1), (1.5, 0.5), (0, 1), (1, 1)],
+                             ids=["reversed", "reversed-floats", "zero", "equal"])
+    def test_pair_outside_0_s_t_rejected_before_any_case(self, monkeypatch, pair):
+        monkeypatch.setattr(verify, "random_rational_metric", None)  # any case run would crash
+        with pytest.raises(KMetricError, match="0 < s < t"):
+            truncation_suite(20, 8, 0, st_pairs=[pair])
+        with pytest.raises(KMetricError, match="0 < s < t"):
+            run_suite("truncation", count=20, n=8, st_pair=pair)
+
     def test_join(self):
         result = join_suite(count=5, n=4, seed=0)
         assert result.passed
+
+    def test_join_reports_a_broken_chain(self, monkeypatch):
+        # A planted fault: the joined space (labels x* and y*) solves one
+        # below its dimension.  The chain is tight in each of these cases,
+        # so every case fails at both k.
+        def smaller_join(space, k, **options):
+            report = dim_exact(space, k, **options)
+            if {label[0] for label in space.labels} == {"x", "y"}:
+                return replace(report, optimum=ExtendedNat(report.optimum.value - 1))
+            return report
+
+        monkeypatch.setattr(verify, "dim_exact", smaller_join)
+        result = join_suite(count=6, n=4, seed=0)
+        assert sorted((f["case"], f["detail"].split(",")[0]) for f in result.failures) == [
+            (case, f"join chain fails at k={k}") for case in range(6) for k in (1, 2)]
+        assert all(f["n"] == len(f["space"]["labels"]) for f in result.failures)
+        assert "join chain fails at k=2, t=5/2: 2+2 <= 2+2 <= 3" in {f["detail"] for f in result.failures}
 
     def test_join_trivial(self):
         result = join_trivial_suite(count=5, n=4, seed=0)
@@ -99,6 +125,14 @@ class TestSuites:
     def test_bipartite_random(self):
         result = bipartite_suite(count=6, n=8, seed=0)
         assert result.passed and result.cases == 6
+
+    def test_bipartite_reports_a_generator_fault(self, monkeypatch):
+        cycle = make(parse_family("cycle:5"))
+        monkeypatch.setattr(verify, "random_bipartite_connected_graph", lambda size, rng: cycle)
+        result = bipartite_suite(count=3, n=6, seed=0)
+        assert list(result.failures) == [
+            {"n": 5, "detail": "generated graph is not bipartite", "graph": format_edge_list(cycle), "case": case}
+            for case in range(3)]
 
     def test_bipartite_family(self):
         grid = make(parse_family("grid-ball:2,3"))
